@@ -1,8 +1,8 @@
 // End-to-end campaign throughput: how many full simulated campaigns per
 // second the engine sustains, per selector. Unlike bench_selector_scaling
 // (isolated solver calls on synthetic instances) this drives the whole
-// per-round pipeline — mechanism repricing, the shared per-round candidate
-// pool, selection, tour execution, metrics — exactly as experiments do, so
+// per-round pipeline — mechanism repricing, the round loop's candidate
+// gather, selection, tour execution, metrics — exactly as experiments do, so
 // it is the number that predicts sweep wall-clock.
 //
 // Methodology: each benchmark iteration runs a fixed panel of
@@ -69,13 +69,15 @@ void BM_Campaign(benchmark::State& state, select::SelectorKind kind) {
       static_cast<double>(user_rounds), benchmark::Counter::kIsRate);
 }
 
-// Intra-campaign plan-thread scaling: ONE campaign per iteration (a single
-// repetition, the shape where repetition fan-out cannot help) at user
-// counts 100 / 1k / 10k, with the per-user planning phase running on
-// state.range(1) workers. plan_threads = 1 is the serial baseline; the
-// campaign is bit-identical across thread counts, so the ratio between the
-// two series is pure plan-phase speedup. Single repetition by design —
-// this is the results/BENCH_campaign.json scaling artifact.
+// Intra-campaign worker scaling at paper-like density: ONE campaign per
+// iteration (a single repetition, the shape where repetition fan-out cannot
+// help) at user counts 100 / 1k / 10k, with the round loop running on up
+// to state.range(1) workers (plan_threads; one per 256 users, so the
+// 100-user campaign stays serial). plan_threads = 1 is the serial
+// baseline; the campaign is bit-identical across worker counts, so the
+// ratio between the two series is pure round-loop speedup. Single
+// repetition by design — this is the results/BENCH_campaign.json scaling
+// artifact.
 void BM_CampaignPlanThreads(benchmark::State& state) {
   exp::ExperimentConfig cfg = make_config(select::SelectorKind::kDp,
                                           static_cast<int>(state.range(0)));
@@ -96,7 +98,7 @@ void BM_CampaignPlanThreads(benchmark::State& state) {
 // users homed at a few shared sites with bucketized budgets, so most
 // selection instances within a round are bit-equal. range(0) = users,
 // range(1) = memo off/on; the campaign is bit-identical either way (pinned
-// by the PlanMemoEquivalence suite), so the off→on items_per_second ratio
+// by the RoundLoop suite), so the off→on items_per_second ratio
 // is pure memoization speedup. The hit_rate counter is the fraction of
 // planned sessions served from the table; this pairing is the
 // results/BENCH_campaign.json memo artifact.
@@ -143,12 +145,11 @@ double max_rss_mb() {
   return 0.0;
 }
 
-// Large-world campaigns through the spatially sharded round loop: ONE
-// campaign per iteration at range(0) users (tasks and area scale with the
-// population, keeping ~50 tasks in reach per user), shards = range(1)
-// (0 = the legacy round loop). The campaign is bit-identical across shard
-// counts (pinned by ShardEquivalence), so the series is pure round-loop
-// scaling. Greedy selector: at this scale the per-user solve should be
+// Large-world campaigns through the round loop: ONE campaign per iteration
+// at range(0) users (tasks and area scale with the population, keeping ~50
+// tasks in reach per user), plan_threads = range(1) workers. The campaign
+// is bit-identical across worker counts (pinned by the RoundLoop suite), so
+// the series is pure round-loop scaling. Greedy selector: at this scale the per-user solve should be
 // cheap so the round *loop* — pre-pass, demand, candidate gather, commit —
 // is what's measured. Phase timers are on; the per-phase wall-clock totals
 // and the process peak RSS ride along as counters. This is the
@@ -166,7 +167,7 @@ void BM_CampaignSharded(benchmark::State& state) {
   cfg.mech_params.platform_budget =
       3.0 * 20.0 * static_cast<double>(cfg.scenario.num_tasks);
   cfg.max_rounds = 3;
-  cfg.shards = static_cast<int>(state.range(1));
+  cfg.plan_threads = static_cast<int>(state.range(1));
   cfg.phase_timers = true;
   std::int64_t user_rounds = 0;
   sim::CampaignMetrics last{};
@@ -187,15 +188,15 @@ void BM_CampaignSharded(benchmark::State& state) {
   state.counters["max_rss_mb"] = max_rss_mb();
 }
 
-// Commit-phase A/B on the sharded large-world workload: range(0) users,
-// shards fixed at 1 so the commit and pre-pass phases are pure single-thread
-// work, range(1) picks the commit path (0 = buffered segment commit, the
-// default; 1 = the legacy per-user serial loop). The campaign is
-// bit-identical between the two (pinned by CommitEquivalence), so the
-// phase_commit_s + phase_prepass_s delta between the series is exactly the
-// restructuring win the commit buffers buy. One campaign per iteration for
-// the same reason as BM_CampaignSharded. This is the
-// results/BENCH_campaign.json commit_phase artifact.
+// Commit-phase A/B on the large-world workload: range(0) users, one worker
+// so the commit and pre-pass phases are pure single-thread work, range(1)
+// picks the loop (0 = the round loop with its buffered commit, the default;
+// 1 = the legacy_commit serial reference, one user at a time over the dense
+// candidate pool). The campaign is bit-identical between the two (pinned by
+// the RoundLoop suite), so the phase_commit_s + phase_prepass_s delta
+// between the series is the restructuring win the commit buffers buy. One
+// campaign per iteration for the same reason as BM_CampaignSharded. This is
+// the results/BENCH_campaign.json commit_phase artifact.
 void BM_CampaignCommit(benchmark::State& state) {
   const int users = static_cast<int>(state.range(0));
   exp::ExperimentConfig cfg;
@@ -206,7 +207,6 @@ void BM_CampaignCommit(benchmark::State& state) {
   cfg.mech_params.platform_budget =
       3.0 * 20.0 * static_cast<double>(cfg.scenario.num_tasks);
   cfg.max_rounds = 3;
-  cfg.shards = 1;
   cfg.phase_timers = true;
   cfg.legacy_commit = state.range(1) != 0;
   std::int64_t user_rounds = 0;
@@ -228,14 +228,15 @@ void BM_CampaignCommit(benchmark::State& state) {
   state.counters["max_rss_mb"] = max_rss_mb();
 }
 
-// Reprice-phase A/B on the sharded large-world workload: range(0) users,
-// shards fixed at 1 so nothing else contends for the pool, range(1) picks
-// the reprice path (0 = serial sweep, the default; 1 = reprice_threads=0,
-// i.e. one worker per hardware thread). The campaign is bit-identical
-// between the two (pinned by RepriceEquivalence), so the phase_reprice_s
-// delta between the series is exactly the sharded-sweep win. One campaign
-// per iteration for the same reason as BM_CampaignSharded. This is the
-// results/BENCH_campaign.json reprice_phase artifact.
+// Reprice-phase A/B on the large-world workload: range(0) users, range(1)
+// picks the worker count (0 = plan_threads 1, the serial sweep; 1 =
+// plan_threads 0, one worker per hardware thread, which the reprice sweep
+// and neighbor-cache warm share with the other phases). The campaign is
+// bit-identical between the two (pinned by the RoundLoop suite), so the
+// phase_reprice_s delta between the series is exactly the sharded-sweep
+// win. One campaign per iteration for the same reason as
+// BM_CampaignSharded. This is the results/BENCH_campaign.json
+// reprice_phase artifact.
 void BM_CampaignReprice(benchmark::State& state) {
   const int users = static_cast<int>(state.range(0));
   exp::ExperimentConfig cfg;
@@ -246,9 +247,8 @@ void BM_CampaignReprice(benchmark::State& state) {
   cfg.mech_params.platform_budget =
       3.0 * 20.0 * static_cast<double>(cfg.scenario.num_tasks);
   cfg.max_rounds = 3;
-  cfg.shards = 1;
   cfg.phase_timers = true;
-  cfg.reprice_threads = state.range(1) != 0 ? 0 : 1;
+  cfg.plan_threads = state.range(1) != 0 ? 0 : 1;
   std::int64_t user_rounds = 0;
   sim::CampaignMetrics last{};
   for (auto _ : state) {
@@ -313,16 +313,13 @@ BENCHMARK(BM_CampaignMemo)
     ->ArgsProduct({{1000, 10000}, {0, 1}})
     ->Repetitions(3)
     ->Unit(benchmark::kMillisecond);
-// Shard sweep at 100k users; the 1M-user / 100k-task configs are pinned to
+// Worker sweep at 100k users; the 1M-user / 100k-task configs are pinned to
 // a single iteration (one campaign is minutes of work — min_time-driven
 // repetition would make bench day unbounded).
 BENCHMARK(BM_CampaignSharded)
-    ->ArgsProduct({{100000}, {0, 1, 2, 8}})
+    ->ArgsProduct({{100000}, {1, 2, 8}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-// 1M users / 100k tasks is sharded-only: the legacy loop's per-round
-// candidate pool is quadratic in open tasks (it is why the sharded loop
-// plans poolless per cell) and does not fit time or memory at this scale.
 BENCHMARK(BM_CampaignSharded)
     ->ArgsProduct({{1000000}, {1, 8}})
     ->Iterations(1)
@@ -340,10 +337,12 @@ BENCHMARK(BM_CampaignReprice)
     ->ArgsProduct({{1000000}, {0, 1}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-// Commit A/B: buffered (0) vs legacy (1) at 100k and 1M users. Single
-// iteration like the other large-world runs; the phase counters, not the
-// total wall time, are the artifact.
+// Commit A/B: round loop (0) vs the serial reference (1) at 100k users.
+// Single iteration like the other large-world runs; the phase counters, not
+// the total wall time, are the artifact. No 1M pair: the reference's dense
+// candidate pool is quadratic in open tasks and does not fit time or memory
+// at 100k tasks.
 BENCHMARK(BM_CampaignCommit)
-    ->ArgsProduct({{100000, 1000000}, {0, 1}})
+    ->ArgsProduct({{100000}, {0, 1}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -1,15 +1,15 @@
 // Microbenchmark: neighbor counting backends.
 //
 // The platform recomputes N_i (users within R of every task) each round.
-// Compares the uniform grid (library default), the k-d tree, and the naive
-// O(n*m) scan across population sizes, on the paper's 3000 m field.
+// Compares the library's frozen uniform grid (build + count, as the neighbor
+// cache does) with the naive O(n*m) scan across population sizes, on the
+// paper's 3000 m field.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "common/rng.h"
 #include "geo/distance.h"
-#include "geo/kdtree.h"
 #include "geo/spatial_grid.h"
 
 namespace {
@@ -53,41 +53,10 @@ void BM_NeighborsBrute(benchmark::State& state) {
 void BM_NeighborsGrid(benchmark::State& state) {
   const Layout l = make_layout(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    geo::SpatialGrid grid(geo::BoundingBox::square(kArea), kRadius);
-    for (std::size_t i = 0; i < l.users.size(); ++i) {
-      grid.insert(static_cast<std::int32_t>(i), l.users[i]);
-    }
+    const geo::FrozenGrid grid(geo::BoundingBox::square(kArea), kRadius,
+                               l.users);
     std::size_t total = 0;
     for (const geo::Point t : l.tasks) total += grid.count_radius(t, kRadius);
-    benchmark::DoNotOptimize(total);
-  }
-}
-
-void BM_NeighborsKdTree(benchmark::State& state) {
-  const Layout l = make_layout(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::vector<geo::KdTree::Item> items;
-    items.reserve(l.users.size());
-    for (std::size_t i = 0; i < l.users.size(); ++i) {
-      items.push_back({static_cast<std::int32_t>(i), l.users[i]});
-    }
-    const geo::KdTree tree(std::move(items));
-    std::size_t total = 0;
-    for (const geo::Point t : l.tasks) total += tree.count_radius(t, kRadius);
-    benchmark::DoNotOptimize(total);
-  }
-}
-
-void BM_KdTreeKnn(benchmark::State& state) {
-  const Layout l = make_layout(static_cast<int>(state.range(0)));
-  std::vector<geo::KdTree::Item> items;
-  for (std::size_t i = 0; i < l.users.size(); ++i) {
-    items.push_back({static_cast<std::int32_t>(i), l.users[i]});
-  }
-  const geo::KdTree tree(std::move(items));
-  for (auto _ : state) {
-    std::size_t total = 0;
-    for (const geo::Point t : l.tasks) total += tree.nearest(t, 10).size();
     benchmark::DoNotOptimize(total);
   }
 }
@@ -96,5 +65,3 @@ void BM_KdTreeKnn(benchmark::State& state) {
 
 BENCHMARK(BM_NeighborsBrute)->Arg(140)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_NeighborsGrid)->Arg(140)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_NeighborsKdTree)->Arg(140)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_KdTreeKnn)->Arg(140)->Arg(1000)->Arg(10000);

@@ -149,13 +149,14 @@ PY
   # The BM_CampaignMemo pairs are additionally distilled into a "plan_memo"
   # section: campaigns/s with the memo off vs on, the off->on speedup and
   # the memo hit rate, per user count. The BM_CampaignCommit pairs become a
-  # "commit_phase" section: commit+prepass seconds for the buffered vs the
-  # legacy commit path, plus the reduction against the committed HEAD
-  # capture's BM_CampaignSharded shards=1 phase timers (the pre-PR release
-  # numbers), so the commit-restructuring claim is auditable from one file.
-  # The BM_CampaignReprice pairs become a "reprice_phase" section in the
-  # same shape: reprice seconds for the serial vs the auto-threaded sweep
-  # plus the reduction against the HEAD capture's shards=1 reprice timer.
+  # "commit_phase" section: commit+prepass seconds for the round loop's
+  # buffered commit vs the legacy_commit serial reference, plus the
+  # reduction against the committed HEAD capture's one-worker
+  # BM_CampaignSharded phase timers (the previous release's numbers), so the
+  # commit-restructuring claim is auditable from one file. The
+  # BM_CampaignReprice pairs become a "reprice_phase" section in the same
+  # shape: reprice seconds at one worker vs one per core (plan_threads) plus
+  # the reduction against the HEAD capture's one-worker reprice timer.
   if command -v python3 >/dev/null 2>&1; then
     HEAD_CAMPAIGN="$(mktemp)"
     git show HEAD:results/BENCH_campaign.json > "${HEAD_CAMPAIGN}" \
@@ -224,12 +225,14 @@ for b in cur.get("benchmarks", []):
     parts = b["name"].split("/")
     if parts[0] != "BM_CampaignCommit" or len(parts) < 3:
         continue
-    users, legacy = parts[1], parts[2] == "1"
-    key = "legacy" if legacy else "buffered"
+    users, reference = parts[1], parts[2] == "1"
+    key = "reference" if reference else "buffered"
     commit.setdefault(users, {})[key + "_commit_plus_prepass_s"] = round(
         commit_prepass_s(b), 4)
 
-# Pre-PR phase timers: the committed HEAD capture's shards=1 sharded runs.
+# Previous-release phase timers: the committed HEAD capture's one-worker
+# BM_CampaignSharded runs (range(1) = 1: shards=1 before the loops merged,
+# plan_threads=1 since).
 head_phase = {}
 if os.path.getsize(head_path) > 0:
     with open(head_path) as f:
@@ -243,9 +246,9 @@ if os.path.getsize(head_path) > 0:
 
 for users, entry in commit.items():
     buffered = entry.get("buffered_commit_plus_prepass_s")
-    legacy = entry.get("legacy_commit_plus_prepass_s")
-    if buffered and legacy:
-        entry["reduction_vs_legacy"] = round(legacy / buffered, 3)
+    reference = entry.get("reference_commit_plus_prepass_s")
+    if buffered and reference:
+        entry["reduction_vs_reference"] = round(reference / buffered, 3)
     if buffered and head_phase.get(users):
         entry["prev_release_commit_plus_prepass_s"] = round(
             head_phase[users], 4)
@@ -255,7 +258,7 @@ if commit:
     merged["commit_phase"] = commit
 
 # Reprice A/B: best (min) phase_reprice_s per series across the
-# single-iteration repetitions, serial (range(1)=0) vs auto-threaded.
+# single-iteration repetitions, one worker (range(1)=0) vs one per core.
 reprice = {}
 for b in cur.get("benchmarks", []):
     if b.get("run_type", "iteration") != "iteration":
@@ -269,7 +272,7 @@ for b in cur.get("benchmarks", []):
     prev = entry.get(key + "_reprice_s")
     entry[key + "_reprice_s"] = round(min(prev, t) if prev else t, 4)
 
-# Pre-PR reprice timers from the same HEAD shards=1 sharded runs.
+# Previous-release reprice timers from the same HEAD one-worker runs.
 head_reprice = {}
 if os.path.getsize(head_path) > 0:
     for b in head.get("benchmarks", []):

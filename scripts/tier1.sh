@@ -59,21 +59,17 @@ if [[ "${SKIP_TSAN}" == "1" ]]; then
 else
   cmake -B build-tsan -S . -DMCS_TSAN=ON
   cmake --build build-tsan -j "${JOBS}" --target test_common test_integration test_sim
-  # PlanEquivalence drives the parallel plan / serial commit path at thread
-  # counts 2 and 8 — the only concurrent region inside a simulator — so it
-  # must stay in the TSan net alongside the pool/runner suites.
-  # PlanMemoEquivalence is the memo-equivalence stage: the memo's classify/
-  # solve/publish phases share the table across the same plan workers, and
-  # memoized campaigns must stay bit-identical (and race-free) under TSan.
-  # ShardEquivalence drives the spatially sharded round loop (parallel
-  # pre-pass + per-cell planning over the SoA stores) at shard counts 1-8
-  # and auto — the widest concurrent surface in the simulator.
-  # CommitEquivalence drives the buffered parallel commit (segment walk +
-  # ordered merge + row-grouped delivery apply) against the legacy serial
-  # loop at shard counts 0-8 and auto — every thread-local effect buffer
-  # and its merge runs under TSan here.
+  # The round loop's equivalence suites (tests/sim/round_loop_test.cpp:
+  # RoundLoop, CommitEquivalence, ShardEquivalence, PlanEquivalence,
+  # RepriceEquivalence, PlanMemoEquivalence): golden digests and the serial
+  # reference at worker counts 1, 2, 8 and auto, memo on/off, checkpoint
+  # resume and steered's threaded round-start reprice. Its pre-pass,
+  # bucketing, per-cell plan, buffered commit (segment walk, ordered merge,
+  # row-grouped apply) and reprice sweep are the widest concurrent surface
+  # in the simulator, so they must stay in the TSan net alongside the
+  # pool/runner suites.
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence'
+    -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|RoundLoop|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence'
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -100,28 +96,31 @@ else
     --target test_select test_sim test_incentive test_model \
     bench_selector_scaling bench_campaign_throughput bench_incentive_micro \
     bench_checkpoint
-  # Selector equivalence plus the plan/memo/reprice/neighbor-cache
+  # Selector equivalence plus the round-loop/memo/reprice/neighbor-cache
   # equivalence suites at the optimization level performance numbers are
   # quoted at (bit-identity claims must hold under -O3 as well). PlanMemo
-  # covers both the unit proofs and the campaign-level memo equivalence;
-  # BudgetTracker pins the compensated-sum overdraft bound under -O3.
-  # CheckpointResume joins the -O3 net: bit-identical resume is a
-  # floating-point identity claim just like the selector equivalences.
-  # ShardEquivalence: sharded == legacy is likewise a floating-point
-  # identity claim (the reach filter must drop exactly what the DP prune
-  # drops under -O3's reassociation too). CommitEquivalence: the buffered
-  # commit's merge replays payments and deliveries in the legacy order —
-  # bit-identity that must survive -O3 exactly like the others.
+  # covers the memo's unit proofs; BudgetTracker pins the compensated-sum
+  # overdraft bound under -O3. CheckpointResume joins the -O3 net:
+  # bit-identical resume is a floating-point identity claim just like the
+  # selector equivalences. The round loop's suites (RoundLoop and the
+  # *Equivalence suites beside it): the golden digests, and round loop ==
+  # serial reference, are floating-point identity claims too (the reach
+  # filter must drop exactly what the DP prune drops under -O3's
+  # reassociation, and the buffered commit's merge must replay payments in
+  # the reference order).
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
-    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence'
+    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|RoundLoop|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
   # BM_CampaignCommit and BM_CampaignReprice join the smoke set: an A/B
   # bench that no longer builds or runs must fail tier-1, not bench day.
-  # Only the 100k serial/buffered runs (trailing slash keeps the 1M configs
-  # out — they are minutes of work and belong to bench day).
+  # Only 100k round-loop runs (trailing slash keeps the 1M configs out —
+  # they are minutes of work and belong to bench day — and the serial
+  # reference side of the commit A/B, which builds the dense O(open^2)
+  # candidate pool). BM_CampaignSharded/100000/2 covers the round loop's
+  # parallel bucketing, which only engages at >= 4096 users.
   ./build-release/bench/bench_campaign_throughput --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_Campaign/greedy/50|BM_CampaignPlanThreads/100/8|BM_CampaignCommit/100000/0/|BM_CampaignReprice/100000/1/' >/dev/null
+    --benchmark_filter='BM_Campaign/greedy/50|BM_CampaignPlanThreads/100/8|BM_CampaignSharded/100000/2/|BM_CampaignCommit/100000/0/|BM_CampaignReprice/100000/1/' >/dev/null
   # Checkpoint write/load smoke: a broken durability bench (or a checkpoint
   # layer that stopped round-tripping under -O3) fails tier-1 here.
   ./build-release/bench/bench_checkpoint --benchmark_min_time=0.01 \

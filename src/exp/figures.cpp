@@ -32,16 +32,6 @@ int plan_threads_default_from_env() {
   return parsed < 0 ? 1 : static_cast<int>(parsed);
 }
 
-// Default reprice-thread count when no --reprice-threads flag is given:
-// the MCS_REPRICE_THREADS environment variable if set, otherwise 1 (serial
-// repricing — same reasoning as plan threads).
-int reprice_threads_default_from_env() {
-  const char* env = std::getenv("MCS_REPRICE_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed < 0 ? 1 : static_cast<int>(parsed);
-}
-
 // Default for --plan-memo: the MCS_PLAN_MEMO environment variable ("1"
 // enables), otherwise off. Memoization never changes results; it is off by
 // default only because the stock panels' continuous user homes make hits
@@ -51,19 +41,13 @@ bool plan_memo_default_from_env() {
   return env != nullptr && *env == '1';
 }
 
-// Default for --shards: the MCS_SHARDS environment variable ("auto" = one
-// worker per hardware thread), otherwise 0 (the legacy round loop).
-std::string shards_default_from_env() {
-  const char* env = std::getenv("MCS_SHARDS");
-  return env == nullptr ? std::string("0") : std::string(env);
-}
-
+// --shards is accepted for compatibility and ignored: 'auto' or an integer
+// >= -1, as earlier versions took.
 int parse_shards(const std::string& s) {
-  if (s == "auto") return sim::SimulatorParams::kAutoShards;
+  if (s == "auto") return -1;
   const long parsed = std::strtol(s.c_str(), nullptr, 10);
-  MCS_CHECK(parsed >= -1,
-            "--shards must be 'auto', -1 (auto), 0 (legacy) or a worker "
-            "count");
+  MCS_CHECK(parsed >= -1, "--shards must be 'auto', -1 or a non-negative "
+                          "integer (accepted and ignored)");
   return static_cast<int>(parsed);
 }
 
@@ -128,12 +112,12 @@ ExperimentConfig experiment_from_config(const Config& cfg) {
       cfg.get_int("plan-threads", plan_threads_default_from_env()));
   MCS_CHECK(e.plan_threads >= 0,
             "--plan-threads must be >= 0 (0 = all cores, 1 = serial)");
-  e.reprice_threads = static_cast<int>(
-      cfg.get_int("reprice-threads", reprice_threads_default_from_env()));
-  MCS_CHECK(e.reprice_threads >= 0,
-            "--reprice-threads must be >= 0 (0 = all cores, 1 = serial)");
+  // --reprice-threads and --shards: accepted and ignored (plan-threads is
+  // the only worker count).
+  e.reprice_threads = static_cast<int>(cfg.get_int("reprice-threads", 1));
+  MCS_CHECK(e.reprice_threads >= 0, "--reprice-threads must be >= 0");
   e.plan_memo = cfg.get_bool("plan-memo", plan_memo_default_from_env());
-  e.shards = parse_shards(cfg.get_string("shards", shards_default_from_env()));
+  e.shards = parse_shards(cfg.get_string("shards", "0"));
   e.phase_timers = cfg.get_bool("phase-timers", false);
   e.max_attempts = static_cast<int>(cfg.get_int("max-attempts", e.max_attempts));
   MCS_CHECK(e.max_attempts >= 1, "--max-attempts must be >= 1");
@@ -276,14 +260,7 @@ void print_experiment_header(const ExperimentConfig& cfg,
             << " plan-threads="
             << (cfg.plan_threads == 0 ? std::string("auto")
                                       : std::to_string(cfg.plan_threads))
-            << " reprice-threads="
-            << (cfg.reprice_threads == 0 ? std::string("auto")
-                                         : std::to_string(cfg.reprice_threads))
             << " plan-memo=" << (cfg.plan_memo ? "on" : "off")
-            << " shards="
-            << (cfg.shards == sim::SimulatorParams::kAutoShards
-                    ? std::string("auto")
-                    : std::to_string(cfg.shards))
             << " max-attempts=" << cfg.max_attempts << "\n";
   if (cfg.checkpoint_every > 0) {
     std::cout << "checkpoints: every=" << cfg.checkpoint_every

@@ -36,8 +36,6 @@ sim::Simulator build_simulator(const ExperimentConfig& cfg, std::uint64_t seed,
   // of the repetition seed), so every repetition faults independently.
   sp.faults = cfg.faults;
   sp.plan_threads = cfg.plan_threads;
-  sp.reprice_threads = cfg.reprice_threads;
-  sp.shards = cfg.shards;
   sp.phase_timers = cfg.phase_timers;
   sp.legacy_commit = cfg.legacy_commit;
   sp.memo.enabled = cfg.plan_memo;
@@ -79,10 +77,12 @@ sim::Simulator resume_simulator(const ExperimentConfig& cfg,
 /// decode fine and pass the simulator's name checks — resuming one would
 /// graft another campaign's trajectory into this aggregate. Everything that
 /// determines the campaign's trajectory goes into the fingerprint;
-/// bit-identity-neutral knobs (threads, plan_threads, memo, the shard
-/// *count*) stay out so a legitimate crash recovery at a different thread
-/// count still resumes; sharded on/off is stamped (stochastic mobility
-/// draws differ between the two loops). A
+/// bit-identity-neutral knobs (threads, plan_threads, memo) stay out so a
+/// legitimate crash recovery at a different thread count still resumes.
+/// The loop is stamped as "sharded": the round loop and the serial
+/// reference (legacy_commit) draw stochastic mobility from different
+/// streams, and checkpoints from older builds whose default loop was the
+/// serial one carry "sharded": false, so they are never resumed here. A
 /// custom MechanismFactory is opaque and fingerprints as "factory": callers
 /// sweeping *across* factories must use distinct checkpoint dirs.
 Json repetition_provenance(const ExperimentConfig& cfg, std::uint64_t seed,
@@ -111,11 +111,9 @@ Json repetition_provenance(const ExperimentConfig& cfg, std::uint64_t seed,
   o["mobility"] = Json(static_cast<int>(cfg.mobility));
   o["drift_sigma"] = Json(cfg.drift_sigma);
   o["max_rounds"] = Json(cfg.max_rounds);
-  // Sharded on/off is part of the trajectory under stochastic mobility
-  // (per-user substreams vs the serial draw stream); the shard *count* is
-  // bit-identity-neutral and stays out, like plan_threads and
-  // reprice_threads.
-  o["sharded"] = Json(cfg.shards != 0);
+  // Which loop ran is part of the trajectory under stochastic mobility
+  // (per-user substreams vs the serial draw stream).
+  o["sharded"] = Json(!cfg.legacy_commit);
   Json::Object f;
   f["dropout_prob"] = Json(cfg.faults.dropout_prob);
   f["abandon_prob"] = Json(cfg.faults.abandon_prob);

@@ -37,36 +37,27 @@ struct ExperimentConfig {
   // merged in repetition order, so every aggregate is bit-identical whatever
   // this is set to. Benches expose it as --threads / MCS_THREADS.
   int threads = 0;
-  // Worker threads for each simulator's per-user planning phase
-  // (SimulatorParams::plan_threads): 1 = serial (default), 0 = one per
-  // hardware thread, n = exactly n. Only round-granularity mechanisms
-  // parallelize; campaigns stay bit-identical at any value. Benches expose
-  // it as --plan-threads / MCS_PLAN_THREADS. Composes with `threads`:
-  // total concurrency is roughly threads * plan_threads, so prefer
-  // repetition fan-out when there are many repetitions and plan threads
-  // when a single large campaign dominates.
+  // Worker threads for each simulator's round (SimulatorParams::
+  // plan_threads): 1 = serial (default), 0 = one per hardware thread,
+  // n = up to n (a round takes at most one per 256 users). The round
+  // loop's pre-pass, bucketing, plan, commit and reprice phases share them;
+  // campaigns stay bit-identical at any value. Benches expose it as
+  // --plan-threads / MCS_PLAN_THREADS. Composes with `threads`: total
+  // concurrency is roughly threads * plan_threads, so prefer repetition
+  // fan-out when there are many repetitions and plan threads when a single
+  // large campaign dominates.
   int plan_threads = 1;
-  // Worker threads for each simulator's reprice phase
-  // (SimulatorParams::reprice_threads): 1 = serial (default), 0 = one per
-  // hardware thread, n = exactly n. The demand/level/reward sweep and a due
-  // neighbor-cache rebuild's count pass shard over them; campaigns stay
-  // bit-identical at any value. Benches expose it as --reprice-threads /
-  // MCS_REPRICE_THREADS. Composes with `threads` like plan_threads does.
+  // Accepted and ignored (--reprice-threads / --shards): earlier versions
+  // sized a separate reprice pool and chose between round loops with these.
   int reprice_threads = 1;
-  // Spatially sharded round execution (SimulatorParams::shards): 0 = the
-  // legacy round loop (default), n >= 1 = sharded with n workers, -1 =
-  // auto (one per hardware thread). Campaigns are bit-identical at any
-  // shard count; versus the legacy loop the trajectory only moves under
-  // stochastic mobility (per-user substreams replace the serial draw
-  // stream — see SimulatorParams::shards). Benches expose it as --shards /
-  // MCS_SHARDS ("auto" accepted).
   int shards = 0;
   // Record per-phase round timings into each campaign's metrics
   // (SimulatorParams::phase_timers). Benches expose it as --phase-timers.
   bool phase_timers = false;
-  // Force the legacy one-user-at-a-time serial commit
-  // (SimulatorParams::legacy_commit). Bit-identity-neutral by construction;
-  // exists for the commit-equivalence suite and the commit-phase bench.
+  // Run round-granularity mechanisms through the serial reference loop
+  // (SimulatorParams::legacy_commit). Bit-identical to the round loop on
+  // deterministic mobility; exists for the round-loop suite and the
+  // commit-phase bench. No config key.
   bool legacy_commit = false;
   // Cross-user plan memoization (SimulatorParams::memo): provably
   // equivalent selection instances within a round share one solve.

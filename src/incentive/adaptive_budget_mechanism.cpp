@@ -62,7 +62,7 @@ void AdaptiveBudgetMechanism::update_rewards(const model::World& world,
   // mechanism is its world's single pricing consumer, and it recomputes in
   // full every round, so taking — rather than peeking — is correct). Then
   // one fused demand/level/reward sweep over the store columns, fanned over
-  // the reprice pool in disjoint task-row ranges: each row writes only its
+  // the reprice workers in disjoint task-row ranges: each row writes only its
   // own slots, so any worker count is bit-identical. last_demands_ and
   // last_levels_ are scratch (recomputed every round, never read across
   // rounds), hence not part of the checkpoint state.

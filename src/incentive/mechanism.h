@@ -64,8 +64,8 @@ class IncentiveMechanism {
   const std::vector<Money>& rewards() const { return rewards_; }
 
   /// Workers available to the next update_rewards()/reprice() call. The
-  /// simulator points every mechanism at its reprice pool once per round;
-  /// mechanisms with a sharded sweep (on-demand, adaptive) fan their
+  /// simulator points every mechanism at the round's worker pool once per
+  /// round; mechanisms with a sharded sweep (on-demand, adaptive) fan their
   /// per-task-row pricing out over it, the rest ignore it. pool = nullptr
   /// or workers <= 1 restores the serial path. The pool must outlive the
   /// pricing calls; the mechanism never owns it.

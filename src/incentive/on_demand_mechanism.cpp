@@ -23,7 +23,7 @@ void OnDemandMechanism::update_rewards(const model::World& world, Round k) {
   last_demands_.resize(n);
   last_levels_.resize(n);
   rewards_.resize(n);
-  // Fused demand/level/reward sweep, fanned over the reprice pool in
+  // Fused demand/level/reward sweep, fanned over the reprice workers in
   // disjoint task-row ranges: one pass over the store columns instead of
   // three (demands, levels, pricing), and every row writes only its own
   // slots, so the result is bit-identical at any worker count. The per-row

@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "geo/distance.h"
-#include "select/candidate_pool.h"
 
 namespace mcs::select {
 
@@ -20,19 +19,10 @@ PlanMemo::PlanMemo(PlanMemoParams params) : params_(params) {
   params_.validate();
 }
 
-void PlanMemo::begin_round(const CandidatePool& pool) {
-  pool_ = &pool;
-  cell_mode_ = false;
-  entries_.clear();
-  buckets_.clear();  // keeps the bucket array; no rehash next round
-  ++stats_.rounds;
-}
-
 void PlanMemo::begin_cell() {
-  pool_ = nullptr;
-  cell_mode_ = true;
+  begun_ = true;
   entries_.clear();
-  buckets_.clear();
+  buckets_.clear();  // keeps the bucket array; no rehash next cell
 }
 
 std::uint64_t PlanMemo::key_of(const SelectionInstance& inst,
@@ -50,40 +40,20 @@ std::uint64_t PlanMemo::key_of(const SelectionInstance& inst,
 
 PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
                                     int exact_candidate_limit) {
-  MCS_CHECK(pool_ != nullptr || cell_mode_,
-            "PlanMemo::begin_round()/begin_cell() not called");
+  MCS_CHECK(begun_, "PlanMemo::begin_cell() not called");
 
-  // Canonical signature of the candidate subset. Pooled rounds use a
-  // bitmask over the round's pool rows: identical masks => identical
-  // candidate ids, locations and enumeration order (make_instance walks
-  // rows ascending). Cell mode uses the candidate task-id vector directly
-  // (ids ascend with task position, and within one round an id determines
-  // its location) — the same implication, without a pool.
-  std::uint64_t sig = 0;
-  if (cell_mode_) {
-    MCS_CHECK(!inst.has_pool(), "cell-mode instances are poolless");
-    const std::size_t n = inst.candidates.size();
-    scratch_ids_.resize(n);
-    sig = mix64(static_cast<std::uint64_t>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      scratch_ids_[j] = inst.candidates[j].task;
-      sig = hash_combine(sig, static_cast<std::uint64_t>(scratch_ids_[j]));
-    }
-  } else {
-    MCS_CHECK(inst.has_pool() && inst.pool.get() == pool_,
-              "instance must carry this round's candidate pool");
-    const std::size_t rows = pool_->size();
-    scratch_inclusion_.assign((rows + 63) / 64, 0);
-    for (const std::int32_t row : inst.pool_index) {
-      scratch_inclusion_[static_cast<std::size_t>(row) >> 6] |=
-          1ULL << (static_cast<std::size_t>(row) & 63);
-    }
-    sig = mix64(static_cast<std::uint64_t>(rows));
-    for (const std::uint64_t w : scratch_inclusion_) sig = hash_combine(sig, w);
+  // Canonical signature of the candidate subset: the candidate task-id
+  // vector (ids ascend with task row, and within one round an id
+  // determines its location and enumeration order).
+  const std::size_t n = inst.candidates.size();
+  scratch_ids_.resize(n);
+  std::uint64_t sig = mix64(static_cast<std::uint64_t>(n));
+  for (std::size_t j = 0; j < n; ++j) {
+    scratch_ids_[j] = inst.candidates[j].task;
+    sig = hash_combine(sig, static_cast<std::uint64_t>(scratch_ids_[j]));
   }
   const auto same_subset = [&](const Entry& e) {
-    return cell_mode_ ? e.ids == scratch_ids_
-                      : e.inclusion == scratch_inclusion_;
+    return e.ids == scratch_ids_;
   };
 
   // Prices are frozen for the round by the caller (round-granularity
@@ -156,11 +126,7 @@ PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
     Entry e;
     e.start = inst.start;
     e.time_budget = inst.time_budget;
-    if (cell_mode_) {
-      e.ids = scratch_ids_;
-    } else {
-      e.inclusion = scratch_inclusion_;
-    }
+    e.ids = scratch_ids_;
     e.d0 = scratch_d0_;
     e.travel = inst.travel;
     e.rewards.resize(m);

@@ -98,8 +98,7 @@ SimulatorParams params_from_json(const Json& j) {
   }
   if (j.has("shards")) {
     p.shards = static_cast<int>(j.at("shards").as_int());
-    MCS_CHECK(p.shards >= SimulatorParams::kAutoShards,
-              "shards must be -1 (auto), 0 (legacy) or a worker count");
+    MCS_CHECK(p.shards >= -1, "shards must be -1 or non-negative");
   }
   if (j.has("phase_timers")) p.phase_timers = j.at("phase_timers").as_bool();
   if (j.has("legacy_commit")) {

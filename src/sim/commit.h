@@ -10,7 +10,7 @@
 // The replacement splits the commit into three phases (DESIGN.md §10):
 //
 //   A. *Parallel session walk* — contiguous visit-order segments fan out
-//      over the plan workers. Each segment walks its users' tours (fault
+//      over the round's workers. Each segment walks its users' tours (fault
 //      draws are stateless hashes; per-user state writes touch disjoint
 //      rows) and records every walked leg as a POD CommitLeg in segment
 //      order, plus a per-segment Neumaier payment sub-account, a dirty-task

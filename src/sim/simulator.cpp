@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -229,6 +230,7 @@ void Simulator::commit_sessions(Round k,
                                 const std::vector<select::Selection>& plans,
                                 const std::vector<char>& feasible,
                                 const std::vector<Money>& reward_row,
+                                ThreadPool* pool, int workers,
                                 RoundMetrics& rm) {
   const std::size_t n = visit_order.size();
   model::UserStore& us = world_.user_store_mut();
@@ -248,8 +250,6 @@ void Simulator::commit_sessions(Round k,
     ts.row_index.rebuild(ts.id);
   }
 
-  const int workers =
-      plan_pool_ ? static_cast<int>(plan_selectors_.size()) : 1;
   const std::size_t n_segs = std::max<std::size_t>(
       1, std::min<std::size_t>(static_cast<std::size_t>(workers), n));
   if (commit_scratch_.segments.size() < n_segs) {
@@ -319,7 +319,7 @@ void Simulator::commit_sessions(Round k,
     }
   };
 
-  if (n_segs <= 1 || plan_pool_ == nullptr) {
+  if (n_segs <= 1 || pool == nullptr) {
     walk_range(commit_scratch_.segments[0], 0, n);
   } else {
     const std::size_t chunk = (n + n_segs - 1) / n_segs;
@@ -327,13 +327,12 @@ void Simulator::commit_sessions(Round k,
       const std::size_t lo = std::min(n, s * chunk);
       const std::size_t hi = std::min(n, lo + chunk);
       if (lo < hi) {
-        plan_pool_->submit(
-            [&walk_range, &seg = commit_scratch_.segments[s], lo, hi] {
-              walk_range(seg, lo, hi);
-            });
+        pool->submit([&walk_range, &seg = commit_scratch_.segments[s], lo, hi] {
+          walk_range(seg, lo, hi);
+        });
       }
     }
-    plan_pool_->wait_idle();
+    pool->wait_idle();
   }
 
   // Phase B: ordered merge — payments, events, wasted travel and fault
@@ -352,17 +351,20 @@ void Simulator::commit_sessions(Round k,
 
   // Phase C: task-grouped delivery apply.
   apply_commit_deliveries(commit_scratch_.segments, k, world_.task_store_mut(),
-                          commit_scratch_, plan_pool_.get(), workers);
+                          commit_scratch_, pool, workers);
 }
 
-void Simulator::run_sessions_intra_round(
+void Simulator::run_sessions_serial(
     Round k, const std::vector<bool>& open,
     const std::shared_ptr<const select::CandidatePool>& pool,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
     double& session_mean_sum, int& priced_sessions) {
   // Task positions the previous session touched: between two sessions of
-  // one round only those tasks gained measurements, so the mechanism can
-  // reprice incrementally instead of rescanning the whole task set.
+  // one round only those tasks gained measurements, so an intra-round
+  // mechanism can reprice incrementally instead of rescanning the task set.
+  // Round-granularity mechanisms (the legacy_commit reference) keep the
+  // round-start prices and skip the reprice entirely.
+  const bool intra_round = mechanism_->updates_within_round();
   const bool timed = params_.phase_timers;
   double t0 = 0.0;
   std::vector<std::size_t> dirty;
@@ -385,29 +387,29 @@ void Simulator::run_sessions_intra_round(
       continue;
     }
 
-    if (timed) t0 = mono_seconds();
-    mechanism_->reprice(world_, k, dirty);
-    dirty.clear();
-    // What this session was actually offered: the round's open tasks at
-    // their freshly published prices (price 0 = withdrawn, not published).
-    double session_sum = 0.0;
-    int session_open = 0;
-    for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-      if (!open[i]) continue;
-      const Money reward = mechanism_->reward(world_.tasks()[i].id());
-      if (reward <= 0.0) continue;
-      session_sum += reward;
-      ++session_open;
-    }
-    if (session_open > 0) {
-      session_mean_sum += session_sum / session_open;
-      ++priced_sessions;
-    }
-    if (timed) {
-      phase_.reprice += mono_seconds() - t0;
-      t0 = mono_seconds();
+    if (intra_round) {
+      if (timed) t0 = mono_seconds();
+      mechanism_->reprice(world_, k, dirty);
+      dirty.clear();
+      // What this session was actually offered: the round's open tasks at
+      // their freshly published prices (price 0 = withdrawn, not published).
+      double session_sum = 0.0;
+      int session_open = 0;
+      for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
+        if (!open[i]) continue;
+        const Money reward = mechanism_->reward(world_.tasks()[i].id());
+        if (reward <= 0.0) continue;
+        session_sum += reward;
+        ++session_open;
+      }
+      if (session_open > 0) {
+        session_mean_sum += session_sum / session_open;
+        ++priced_sessions;
+      }
+      if (timed) phase_.reprice += mono_seconds() - t0;
     }
 
+    if (timed) t0 = mono_seconds();
     const select::SelectionInstance inst = make_instance(
         world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
     const select::Selection sel = selector_->select(inst);
@@ -417,219 +419,43 @@ void Simulator::run_sessions_intra_round(
       phase_.plan += mono_seconds() - t0;
       t0 = mono_seconds();
     }
-    commit_session(k, u, pos, sel, rm, &dirty);
+    commit_session(k, u, pos, sel, rm, intra_round ? &dirty : nullptr);
     if (timed) phase_.commit += mono_seconds() - t0;
   }
 }
 
-bool Simulator::ensure_plan_workers(int threads) {
-  if (plan_pool_ && static_cast<int>(plan_selectors_.size()) == threads) {
-    return true;
-  }
-  plan_selectors_.clear();
-  plan_pool_.reset();
-  for (int i = 0; i < threads; ++i) {
-    std::unique_ptr<select::TaskSelector> c = selector_->clone();
-    if (c == nullptr) {
-      // Selector predates the clone() hook: plan serially.
-      plan_selectors_.clear();
-      return false;
+ThreadPool* Simulator::worker_pool(int workers) {
+  if (workers <= 1) return nullptr;
+  if (pool_ == nullptr || pool_->size() != workers) {
+    pool_ = std::make_unique<ThreadPool>(workers);
+    plan_selectors_.clear();
+    for (int i = 0; i < workers; ++i) {
+      std::unique_ptr<select::TaskSelector> c = selector_->clone();
+      if (c == nullptr) {
+        // Selector predates the clone() hook: plan serially.
+        plan_selectors_.clear();
+        break;
+      }
+      plan_selectors_.push_back(std::move(c));
     }
-    plan_selectors_.push_back(std::move(c));
   }
-  plan_pool_ = std::make_unique<ThreadPool>(threads);
-  return true;
+  return pool_.get();
 }
 
-void Simulator::solve_positions(
-    const std::vector<std::uint32_t>& positions, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
-    std::vector<select::Selection>& plans, std::vector<char>& feasible) {
-  // Prices, the open set and the pool are frozen for the whole round, and a
-  // user's instance depends only on that frozen state plus the user's own
-  // location and contributed set — nothing another user's session changes.
-  // Plans are therefore order-free: compute them concurrently into per-user
-  // slots. Feasibility is checked here (while the instance is still alive)
-  // and only asserted at commit.
-  const auto plan_user = [&](const select::TaskSelector& solver,
-                             std::size_t pos) {
-    const model::User& u = world_.users()[pos];
-    const select::SelectionInstance inst = make_instance(
-        world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
-    plans[pos] = solver.select(inst);
-    feasible[pos] = select::is_feasible(inst, plans[pos]) ? 1 : 0;
-  };
-
-  const int threads = resolve_threads(params_.plan_threads);
-  if (threads <= 1 || positions.size() <= 1 || !ensure_plan_workers(threads)) {
-    for (const std::uint32_t pos : positions) plan_user(*selector_, pos);
-  } else {
-    // One selector clone per shard: DP/greedy scratch arenas are not
-    // reentrant (DESIGN.md §7), so concurrent plans never share a solver.
-    const std::size_t shards = plan_selectors_.size();
-    for (std::size_t s = 0; s < shards; ++s) {
-      plan_pool_->submit([&, s] {
-        const select::TaskSelector& solver = *plan_selectors_[s];
-        for (std::size_t i = s; i < positions.size(); i += shards) {
-          plan_user(solver, positions[i]);
-        }
-      });
-    }
-    plan_pool_->wait_idle();
-  }
-}
-
-void Simulator::run_sessions_planned(
-    Round k, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
-    const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
-  const std::size_t n_users = world_.num_users();
-  const bool timed = params_.phase_timers;
-  double t0 = timed ? mono_seconds() : 0.0;
-
-  // Serial pre-pass in visit order: the mobility rng is one sequential
-  // stream, so its draws must happen user-by-user exactly as the serial
-  // interleaving would. Dropout draws are pure hashes (order-free) but are
-  // taken here so the plan phase knows whom to skip.
-  std::vector<char> dropped(n_users, 0);
-  for (const std::uint32_t pos : visit_order) {
-    model::User& u = world_.users()[pos];
-    u.set_location(
-        mobility_->start_of_round(u, k, world_.area(), mobility_rng_));
-    if (faults_.enabled() && faults_.drop_user(u.id(), k)) dropped[pos] = 1;
-  }
-  if (timed) {
-    phase_.prepass += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
-
-  std::vector<select::Selection> plans(n_users);
-  std::vector<char> feasible(n_users, 1);
-
-  if (!params_.memo.enabled) {
-    std::vector<std::uint32_t> to_plan;
-    to_plan.reserve(n_users);
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (!dropped[pos]) to_plan.push_back(static_cast<std::uint32_t>(pos));
-    }
-    solve_positions(to_plan, open, pool, plans, feasible);
-  } else {
-    // Memoized plan phase (select/plan_memo.h), three deterministic phases.
-    //
-    // Phase 1 — serial classification in position order: every surviving
-    // user's instance is keyed against the memo. Owners (first of their
-    // equivalence class) go to the solve wave; exact hits will copy the
-    // owner's plan; dominance candidates stay pending until the owner's
-    // result is known. Position order (not visit order) so that hit/miss
-    // accounting and entry layout are independent of the round shuffle's
-    // interaction with fault draws — and identical at any thread count.
-    plan_memo_.begin_round(*pool);
-    const int exact_limit = selector_->exact_candidate_limit();
-    std::vector<select::PlanMemo::Ticket> tickets(n_users);
-    std::vector<std::uint32_t> owners;
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (dropped[pos]) continue;
-      const model::User& u = world_.users()[pos];
-      const select::SelectionInstance inst = make_instance(
-          world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
-      tickets[pos] = plan_memo_.classify(inst, exact_limit);
-      if (tickets[pos].outcome == select::PlanMemo::Outcome::kOwner) {
-        owners.push_back(static_cast<std::uint32_t>(pos));
-      }
-    }
-
-    // Phase 2 — owners solve concurrently; the memo is untouched.
-    solve_positions(owners, open, pool, plans, feasible);
-
-    // Phase 3 — serial, position order again: owners publish, exact hits
-    // copy (the owner's position is smaller, so its plan is published by
-    // the time a hit reads it), pendings resolve into a fix-up hit or the
-    // exact-fallback wave, which then solves concurrently like the owners.
-    std::vector<std::uint32_t> fallback;
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (dropped[pos]) continue;
-      const select::PlanMemo::Ticket& t = tickets[pos];
-      switch (t.outcome) {
-        case select::PlanMemo::Outcome::kOwner:
-          plan_memo_.publish(t, plans[pos], feasible[pos] != 0);
-          break;
-        case select::PlanMemo::Outcome::kExactHit:
-          plans[pos] = plan_memo_.cached_plan(t);
-          feasible[pos] = plan_memo_.cached_feasible(t) ? 1 : 0;
-          break;
-        case select::PlanMemo::Outcome::kPending: {
-          const select::Selection* cached = nullptr;
-          if (plan_memo_.resolve(t, &cached)) {
-            plans[pos] = *cached;  // the proven empty tour
-            feasible[pos] = 1;
-          } else {
-            fallback.push_back(static_cast<std::uint32_t>(pos));
-          }
-          break;
-        }
-      }
-    }
-    solve_positions(fallback, open, pool, plans, feasible);
-  }
-  if (timed) {
-    phase_.plan += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
-
-  // Commit phase: payments, deliveries, events and the remaining fault
-  // draws (abandonment, upload loss/corruption: pure hashes) replay exactly
-  // as the legacy serial loop would — through the buffered walk/merge/apply
-  // pipeline (sim/commit.h), or one user at a time under the debug oracle.
-  if (params_.legacy_commit) {
-    for (const std::uint32_t pos : visit_order) {
-      if (dropped[pos]) {
-        ++rm.dropped_users;
-        continue;
-      }
-      MCS_ASSERT(feasible[pos] != 0, "selector returned an infeasible tour");
-      commit_session(k, world_.users()[pos], pos, plans[pos], rm,
-                     /*dirty=*/nullptr);
-    }
-  } else {
-    // Freeze the round prices into a dense per-row snapshot — straight from
-    // the mechanism's row table when it publishes one, else one virtual
-    // reward() call per open task (instead of one per walked leg).
-    const model::TaskStore& ts = world_.task_store();
-    const std::vector<Money>* rows =
-        reward_rows_of(*mechanism_, world_.num_tasks());
-    commit_reward_.assign(world_.num_tasks(), 0.0);
-    for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-      if (open[i]) {
-        commit_reward_[i] =
-            rows != nullptr ? (*rows)[i] : mechanism_->reward(ts.id[i]);
-      }
-    }
-    commit_sessions(k, visit_order, dropped, plans, feasible, commit_reward_,
-                    rm);
-  }
-  if (timed) phase_.commit += mono_seconds() - t0;
-}
-
-int Simulator::shard_worker_count() const {
-  return params_.shards == SimulatorParams::kAutoShards
-             ? resolve_threads(0)
-             : params_.shards;
-}
-
-Meters Simulator::shard_cell_size() const {
+Meters Simulator::cell_size() const {
+  // About one user (or task) per cell along each side, capped at 64 cells:
+  // small worlds would otherwise pay for thousands of empty cells every
+  // round in the bucketing, the task grid and the plan sweep.
+  const double points = static_cast<double>(
+      std::max(world_.num_users(), world_.num_tasks()));
+  const double side = std::clamp(std::ceil(std::sqrt(points)), 1.0, 64.0);
   const geo::BoundingBox& a = world_.area();
-  return std::max(std::max(a.width(), a.height()) / 64.0, 1e-3);
+  return std::max(std::max(a.width(), a.height()) / side, 1e-3);
 }
 
-bool Simulator::run_sessions_sharded(
-    Round k, const std::vector<bool>& open,
-    const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
-  const int workers = std::max(shard_worker_count(), 1);
-  const bool pooled_workers = workers > 1;
-  if (pooled_workers && !ensure_plan_workers(workers)) {
-    return false;  // selector predates clone(): take the legacy loop
-  }
-
+void Simulator::run_round(Round k, const std::vector<bool>& open,
+                          const std::vector<std::uint32_t>& visit_order,
+                          ThreadPool* pool, int workers, RoundMetrics& rm) {
   const std::size_t n_users = world_.num_users();
   const std::size_t n_tasks = world_.num_tasks();
   const model::UserStore& us = world_.user_store();
@@ -642,45 +468,32 @@ bool Simulator::run_sessions_sharded(
   // (order_seed, round, position), so the result is a pure per-user
   // function — independent of execution order and worker count. Static
   // models (static-home, commute) draw nothing and land exactly where the
-  // legacy serial stream puts them; stochastic models follow a different
-  // but equally valid trajectory, still invariant across shard counts.
-  // Mobility models must be stateless under concurrent calls (all shipped
-  // ones are); dropout draws are stateless hashes already.
-  shard_dropped_.assign(n_users, 0);
+  // serial reference's stream puts them; stochastic models follow a
+  // different but equally valid trajectory. Mobility models must be
+  // stateless under concurrent calls (all shipped ones are); dropout draws
+  // are stateless hashes already.
+  dropped_.assign(n_users, 0);
   const std::uint64_t round_base =
       hash_combine(mix64(params_.order_seed ^ 0x5ba9d0c4f1e2a687ULL),
                    static_cast<std::uint64_t>(k));
-  const auto prepass_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-      model::User& u = world_.users()[pos];
-      Rng rng(hash_combine(round_base, static_cast<std::uint64_t>(pos)));
-      u.set_location(mobility_->start_of_round(u, k, world_.area(), rng));
-      if (faults_.enabled() && faults_.drop_user(u.id(), k)) {
-        shard_dropped_[pos] = 1;
-      }
-    }
-  };
-  if (pooled_workers && n_users > 1) {
-    const std::size_t chunk =
-        (n_users + static_cast<std::size_t>(workers) - 1) /
-        static_cast<std::size_t>(workers);
-    for (int w = 0; w < workers; ++w) {
-      const std::size_t lo =
-          std::min(n_users, static_cast<std::size_t>(w) * chunk);
-      const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) plan_pool_->submit([&prepass_range, lo, hi] {
-        prepass_range(lo, hi);
-      });
-    }
-    plan_pool_->wait_idle();
-  } else {
-    prepass_range(0, n_users);
-  }
+  parallel_ranges(pool, workers, n_users,
+                  [&](std::size_t, std::size_t lo, std::size_t hi) {
+                    for (std::size_t pos = lo; pos < hi; ++pos) {
+                      model::User& u = world_.users()[pos];
+                      Rng rng(hash_combine(round_base,
+                                           static_cast<std::uint64_t>(pos)));
+                      u.set_location(mobility_->start_of_round(
+                          u, k, world_.area(), rng));
+                      if (faults_.enabled() && faults_.drop_user(u.id(), k)) {
+                        dropped_[pos] = 1;
+                      }
+                    }
+                  });
 
-  // --- Shard index: bucket users by the grid cell of their round-start
-  // location (CSR layout; within a cell users keep ascending position, so
-  // per-cell processing order is shard-count-invariant).
-  const Meters cell = shard_cell_size();
+  // --- Bucket users by the grid cell of their round-start location (CSR
+  // layout; within a cell users keep ascending position, so per-cell
+  // processing order is worker-count-invariant).
+  const Meters cell = cell_size();
   const geo::BoundingBox& area = world_.area();
   const int nx = std::max(1, static_cast<int>(std::ceil(area.width() / cell)));
   const int ny = std::max(1, static_cast<int>(std::ceil(area.height() / cell)));
@@ -694,10 +507,10 @@ bool Simulator::run_sessions_sharded(
     return static_cast<std::uint32_t>(cy) * static_cast<std::uint32_t>(nx) +
            static_cast<std::uint32_t>(cx);
   };
-  shard_cell_of_.resize(n_users);
-  shard_cell_start_.assign(n_cells + 1, 0);
-  shard_users_.resize(n_users);
-  if (pooled_workers && n_users >= 4096) {
+  cell_of_.resize(n_users);
+  cell_start_.assign(n_cells + 1, 0);
+  cell_users_.resize(n_users);
+  if (pool != nullptr && n_users >= 4096) {
     // Two-pass parallel bucketing: per-worker per-cell histograms, one
     // serial exclusive prefix over (cell-major, worker-minor), then a
     // parallel scatter from per-worker cursors. Worker w owns the
@@ -706,126 +519,128 @@ bool Simulator::run_sessions_sharded(
     // users land in ascending position order, exactly like the serial
     // counting sort.
     const std::size_t nw = static_cast<std::size_t>(workers);
-    shard_bucket_counts_.assign(nw * n_cells, 0);
+    bucket_counts_.assign(nw * n_cells, 0);
     const std::size_t chunk = (n_users + nw - 1) / nw;
     for (std::size_t w = 0; w < nw; ++w) {
       const std::size_t lo = std::min(n_users, w * chunk);
       const std::size_t hi = std::min(n_users, lo + chunk);
       if (lo < hi) {
-        plan_pool_->submit([this, &us, &cell_of, n_cells, w, lo, hi] {
-          std::uint32_t* counts = shard_bucket_counts_.data() + w * n_cells;
+        pool->submit([this, &us, &cell_of, n_cells, w, lo, hi] {
+          std::uint32_t* counts = bucket_counts_.data() + w * n_cells;
           for (std::size_t pos = lo; pos < hi; ++pos) {
             const std::uint32_t c = cell_of(us.location[pos]);
-            shard_cell_of_[pos] = c;
+            cell_of_[pos] = c;
             ++counts[c];
           }
         });
       }
     }
-    plan_pool_->wait_idle();
+    pool->wait_idle();
     std::uint32_t run = 0;
     for (std::size_t c = 0; c < n_cells; ++c) {
-      shard_cell_start_[c] = run;
+      cell_start_[c] = run;
       for (std::size_t w = 0; w < nw; ++w) {
-        std::uint32_t& slot = shard_bucket_counts_[w * n_cells + c];
+        std::uint32_t& slot = bucket_counts_[w * n_cells + c];
         const std::uint32_t cnt = slot;
         slot = run;  // becomes worker w's scatter cursor for cell c
         run += cnt;
       }
     }
-    shard_cell_start_[n_cells] = run;
+    cell_start_[n_cells] = run;
     for (std::size_t w = 0; w < nw; ++w) {
       const std::size_t lo = std::min(n_users, w * chunk);
       const std::size_t hi = std::min(n_users, lo + chunk);
       if (lo < hi) {
-        plan_pool_->submit([this, n_cells, w, lo, hi] {
-          std::uint32_t* cursor = shard_bucket_counts_.data() + w * n_cells;
+        pool->submit([this, n_cells, w, lo, hi] {
+          std::uint32_t* cursor = bucket_counts_.data() + w * n_cells;
           for (std::size_t pos = lo; pos < hi; ++pos) {
-            shard_users_[cursor[shard_cell_of_[pos]]++] =
+            cell_users_[cursor[cell_of_[pos]]++] =
                 static_cast<std::uint32_t>(pos);
           }
         });
       }
     }
-    plan_pool_->wait_idle();
+    pool->wait_idle();
   } else {
     for (std::size_t pos = 0; pos < n_users; ++pos) {
       const std::uint32_t c = cell_of(us.location[pos]);
-      shard_cell_of_[pos] = c;
-      ++shard_cell_start_[c + 1];
+      cell_of_[pos] = c;
+      ++cell_start_[c + 1];
     }
     for (std::size_t c = 0; c < n_cells; ++c) {
-      shard_cell_start_[c + 1] += shard_cell_start_[c];
+      cell_start_[c + 1] += cell_start_[c];
     }
-    std::vector<std::uint32_t> fill(shard_cell_start_.begin(),
-                                    shard_cell_start_.end() - 1);
+    std::vector<std::uint32_t> fill(cell_start_.begin(),
+                                    cell_start_.end() - 1);
     for (std::size_t pos = 0; pos < n_users; ++pos) {
-      shard_users_[fill[shard_cell_of_[pos]]++] =
-          static_cast<std::uint32_t>(pos);
+      cell_users_[fill[cell_of_[pos]]++] = static_cast<std::uint32_t>(pos);
     }
   }
 
-  // --- Frozen round state: prices cached per task position (read from the
+  // --- Frozen round state: prices cached per task row (read from the
   // mechanism's dense row table when it publishes one; else one virtual
-  // call per open task instead of one per candidate per user) and a spatial
-  // index over the open tasks for reach-local candidate gathering.
+  // call per open task instead of one per candidate per user) and a CSR
+  // grid over the open priced tasks for reach-local candidate gathering.
+  // Grid ids index priced_rows_, which ascends with the task row.
   const std::vector<Money>* price_rows = reward_rows_of(*mechanism_, n_tasks);
-  shard_reward_.assign(n_tasks, 0.0);
-  geo::SpatialGrid task_grid(area, cell);
+  round_reward_.assign(n_tasks, 0.0);
+  priced_rows_.clear();
+  priced_points_.clear();
   for (std::size_t i = 0; i < n_tasks; ++i) {
     if (!open[i]) continue;
     const Money r =
         price_rows != nullptr ? (*price_rows)[i] : mechanism_->reward(ts.id[i]);
     if (r <= 0.0) continue;
-    shard_reward_[i] = r;
-    task_grid.insert(static_cast<std::int32_t>(i), ts.location[i]);
+    round_reward_[i] = r;
+    priced_rows_.push_back(static_cast<std::uint32_t>(i));
+    priced_points_.push_back(ts.location[i]);
   }
+  const geo::FrozenGrid task_grid(area, cell, priced_points_);
   if (timed) {
     phase_.prepass += mono_seconds() - t0;
     t0 = mono_seconds();
   }
 
   // --- Plan phase: contiguous cell ranges per worker. Every candidate list
-  // is make_instance's (open, not contributed, priced, ascending task
-  // position) minus the tasks beyond the user's travel-distance budget —
+  // is the serial reference's (open, not contributed, priced, ascending
+  // task row) minus the tasks beyond the user's travel-distance budget —
   // filtered with the exact predicate the DP front-end prunes with, after
   // an inflated-radius grid query that can only over-collect. The grid's
   // squared-distance hit test and the sqrt-based predicate round
   // differently within an ulp, hence the slack; the exact filter then
   // decides membership.
-  shard_plans_.assign(n_users, select::Selection{});
-  shard_feasible_.assign(n_users, 1);
+  plans_.assign(n_users, select::Selection{});
+  feasible_.assign(n_users, 1);
   const bool memo_on = params_.memo.enabled;
-  if (memo_on &&
-      shard_memos_.size() != static_cast<std::size_t>(workers)) {
-    shard_memos_.clear();
-    for (int w = 0; w < workers; ++w) {
-      shard_memos_.push_back(
-          std::make_unique<select::PlanMemo>(params_.memo));
+  const std::size_t n_memos = static_cast<std::size_t>(std::max(workers, 1));
+  if (memo_on && cell_memos_.size() != n_memos) {
+    cell_memos_.clear();
+    for (std::size_t w = 0; w < n_memos; ++w) {
+      cell_memos_.push_back(std::make_unique<select::PlanMemo>(params_.memo));
     }
   }
   const int exact_limit = selector_->exact_candidate_limit();
+  const bool cloned = !plan_selectors_.empty() && pool != nullptr;
 
-  const auto plan_cells = [&](int w, std::uint32_t c_lo, std::uint32_t c_hi) {
+  const auto plan_cells = [&](std::size_t w, std::size_t c_lo,
+                              std::size_t c_hi) {
     const select::TaskSelector& solver =
-        pooled_workers ? *plan_selectors_[static_cast<std::size_t>(w)]
-                       : *selector_;
-    select::PlanMemo* memo =
-        memo_on ? shard_memos_[static_cast<std::size_t>(w)].get() : nullptr;
+        cloned ? *plan_selectors_[w] : *selector_;
+    select::PlanMemo* memo = memo_on ? cell_memos_[w].get() : nullptr;
     std::vector<std::int32_t> hits;
     select::SelectionInstance inst;
     inst.travel = world_.travel();
-    for (std::uint32_t c = c_lo; c < c_hi; ++c) {
-      const std::uint32_t u_lo = shard_cell_start_[c];
-      const std::uint32_t u_hi = shard_cell_start_[c + 1];
+    for (std::size_t c = c_lo; c < c_hi; ++c) {
+      const std::uint32_t u_lo = cell_start_[c];
+      const std::uint32_t u_hi = cell_start_[c + 1];
       if (u_lo == u_hi) continue;
       // One memo table per cell: the table contents depend only on the
       // cell's users (processed in position order), never on which worker
-      // owns the cell — hits, misses and plans are shard-count-invariant.
+      // owns the cell — hits, misses and plans are worker-count-invariant.
       if (memo != nullptr) memo->begin_cell();
       for (std::uint32_t idx = u_lo; idx < u_hi; ++idx) {
-        const std::uint32_t pos = shard_users_[idx];
-        if (shard_dropped_[pos] != 0) continue;
+        const std::uint32_t pos = cell_users_[idx];
+        if (dropped_[pos] != 0) continue;
         const model::User& u = world_.users()[pos];
         inst.start = us.location[pos];
         inst.time_budget = us.time_budget[pos];
@@ -834,48 +649,44 @@ bool Simulator::run_sessions_sharded(
         hits.clear();
         task_grid.for_each_in_radius(
             inst.start, reach * (1.0 + 1e-12) + 1e-9,
-            [&hits](std::int32_t t) { hits.push_back(t); });
+            [&hits](std::int32_t j) { hits.push_back(j); });
         std::sort(hits.begin(), hits.end());
-        for (const std::int32_t t : hits) {
-          const auto ti = static_cast<std::size_t>(t);
+        for (const std::int32_t j : hits) {
+          const std::size_t ti = priced_rows_[static_cast<std::size_t>(j)];
           if (geo::euclidean(inst.start, ts.location[ti]) > reach) continue;
           if (u.has_contributed(ts.id[ti])) continue;
           inst.candidates.push_back(
-              {ts.id[ti], ts.location[ti], shard_reward_[ti]});
+              {ts.id[ti], ts.location[ti], round_reward_[ti]});
         }
         if (memo == nullptr) {
-          shard_plans_[pos] = solver.select(inst);
-          shard_feasible_[pos] =
-              select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
+          plans_[pos] = solver.select(inst);
+          feasible_[pos] = select::is_feasible(inst, plans_[pos]) ? 1 : 0;
           continue;
         }
         // Single-pass memo: the owner of every class precedes its hits in
-        // position order within the cell, so classify/solve/publish can
-        // interleave without the legacy loop's phase barriers.
+        // position order within the cell, so classify/solve/publish
+        // interleave without phase barriers.
         const select::PlanMemo::Ticket ticket =
             memo->classify(inst, exact_limit);
         switch (ticket.outcome) {
           case select::PlanMemo::Outcome::kOwner: {
-            shard_plans_[pos] = solver.select(inst);
-            shard_feasible_[pos] =
-                select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
-            memo->publish(ticket, shard_plans_[pos],
-                          shard_feasible_[pos] != 0);
+            plans_[pos] = solver.select(inst);
+            feasible_[pos] = select::is_feasible(inst, plans_[pos]) ? 1 : 0;
+            memo->publish(ticket, plans_[pos], feasible_[pos] != 0);
             break;
           }
           case select::PlanMemo::Outcome::kExactHit:
-            shard_plans_[pos] = memo->cached_plan(ticket);
-            shard_feasible_[pos] = memo->cached_feasible(ticket) ? 1 : 0;
+            plans_[pos] = memo->cached_plan(ticket);
+            feasible_[pos] = memo->cached_feasible(ticket) ? 1 : 0;
             break;
           case select::PlanMemo::Outcome::kPending: {
             const select::Selection* cached = nullptr;
             if (memo->resolve(ticket, &cached)) {
-              shard_plans_[pos] = *cached;  // the proven empty tour
-              shard_feasible_[pos] = 1;
+              plans_[pos] = *cached;  // the proven empty tour
+              feasible_[pos] = 1;
             } else {
-              shard_plans_[pos] = solver.select(inst);
-              shard_feasible_[pos] =
-                  select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
+              plans_[pos] = solver.select(inst);
+              feasible_[pos] = select::is_feasible(inst, plans_[pos]) ? 1 : 0;
             }
             break;
           }
@@ -884,45 +695,47 @@ bool Simulator::run_sessions_sharded(
     }
   };
 
-  if (pooled_workers) {
-    // Contiguous cell ranges balanced by user count (any partition yields
-    // the same campaign; balance only affects wall clock).
-    std::vector<std::uint32_t> bounds(static_cast<std::size_t>(workers) + 1,
-                                      0);
-    bounds[static_cast<std::size_t>(workers)] =
-        static_cast<std::uint32_t>(n_cells);
-    std::uint32_t c = 0;
-    for (int w = 1; w < workers; ++w) {
-      const std::size_t target =
-          static_cast<std::size_t>(w) * n_users /
-          static_cast<std::size_t>(workers);
-      while (c < n_cells && shard_cell_start_[c] < target) ++c;
-      bounds[static_cast<std::size_t>(w)] = c;
-    }
+  if (cloned) {
+    // Chunks of contiguous cells with about equal user counts, several per
+    // worker, claimed in turn: a user's solve cost depends on how many tasks
+    // are in reach, so fixed per-worker ranges leave workers idle. Any
+    // assignment yields the same campaign — plans are per-user pure
+    // functions and every cell restarts its memo table.
+    const std::size_t n_chunks = static_cast<std::size_t>(workers) * 8;
+    std::atomic<std::size_t> next_chunk{0};
+    const auto chunk_start = [&](std::size_t j) {
+      if (j >= n_chunks) return n_cells;
+      const std::size_t target = j * n_users / n_chunks;
+      return static_cast<std::size_t>(
+          std::lower_bound(cell_start_.begin(), cell_start_.end() - 1,
+                           target) -
+          cell_start_.begin());
+    };
     for (int w = 0; w < workers; ++w) {
-      const std::uint32_t lo = bounds[static_cast<std::size_t>(w)];
-      const std::uint32_t hi = bounds[static_cast<std::size_t>(w) + 1];
-      if (lo < hi) plan_pool_->submit([&plan_cells, w, lo, hi] {
-        plan_cells(w, lo, hi);
+      pool->submit([&, w] {
+        for (std::size_t j = next_chunk++; j < n_chunks; j = next_chunk++) {
+          plan_cells(static_cast<std::size_t>(w), chunk_start(j),
+                     chunk_start(j + 1));
+        }
       });
     }
-    plan_pool_->wait_idle();
+    pool->wait_idle();
   } else {
-    plan_cells(0, 0, static_cast<std::uint32_t>(n_cells));
+    plan_cells(0, 0, n_cells);
   }
 
   if (memo_on) {
     // Harvest the workers' counters into the campaign aggregate. Counts are
     // summed, so the result does not depend on which worker owned which
-    // cell; rounds advances once per sharded round.
+    // cell; rounds advances once per round.
     select::PlanMemoStats agg = plan_memo_.stats();
     ++agg.rounds;
-    for (const auto& m : shard_memos_) {
-      const select::PlanMemoStats& s = m->stats();
-      agg.exact_hits += s.exact_hits;
-      agg.fixup_hits += s.fixup_hits;
-      agg.misses += s.misses;
-      agg.fallbacks += s.fallbacks;
+    for (const auto& m : cell_memos_) {
+      const select::PlanMemoStats& st = m->stats();
+      agg.exact_hits += st.exact_hits;
+      agg.fixup_hits += st.fixup_hits;
+      agg.misses += st.misses;
+      agg.fallbacks += st.fallbacks;
       m->reset_stats();
     }
     plan_memo_.restore_stats(agg);
@@ -932,63 +745,35 @@ bool Simulator::run_sessions_sharded(
     t0 = mono_seconds();
   }
 
-  // --- Commit: bit-identical to the legacy serial visit-order loop, via
-  // the buffered walk/merge/apply pipeline (sim/commit.h) — or the loop
-  // itself under the debug oracle. shard_reward_ already holds the frozen
-  // per-row prices every plan of this round was computed against.
-  if (params_.legacy_commit) {
-    for (const std::uint32_t pos : visit_order) {
-      if (shard_dropped_[pos] != 0) {
-        ++rm.dropped_users;
-        continue;
-      }
-      MCS_ASSERT(shard_feasible_[pos] != 0,
-                 "selector returned an infeasible tour");
-      commit_session(k, world_.users()[pos], pos, shard_plans_[pos], rm,
-                     /*dirty=*/nullptr);
-    }
-  } else {
-    commit_sessions(k, visit_order, shard_dropped_, shard_plans_,
-                    shard_feasible_, shard_reward_, rm);
-  }
+  // --- Commit: the buffered walk/merge/apply pipeline (sim/commit.h).
+  // round_reward_ holds the frozen per-row prices every plan of this round
+  // was computed against.
+  commit_sessions(k, visit_order, dropped_, plans_, feasible_, round_reward_,
+                  pool, workers, rm);
   if (timed) phase_.commit += mono_seconds() - t0;
-  return true;
 }
 
 const RoundMetrics& Simulator::step() {
   MCS_CHECK(next_round_ <= params_.max_rounds, "campaign already over");
   const Round k = next_round_;
   const bool intra_round = mechanism_->updates_within_round();
-  const bool want_sharded = !intra_round && params_.shards != 0;
   const bool timed = params_.phase_timers;
-
-  // Sharded rounds front-load the neighbor-cache rebuild (the mechanism's
-  // first demand query would otherwise pay it serially): a no-op unless a
-  // rebuild is due, and integer-exact either way.
-  if (want_sharded) {
-    const int w = shard_worker_count();
-    if (w > 1 && ensure_plan_workers(w)) {
-      world_.warm_neighbor_cache(*plan_pool_, w);
-    }
-  }
+  // At most one worker per kUsersPerWorker users: a smaller round cannot
+  // amortize the hand-off of its five fanned-out phases.
+  constexpr std::size_t kUsersPerWorker = 256;
+  const int workers = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_threads(params_.plan_threads)),
+      std::max<std::size_t>(1, world_.num_users() / kUsersPerWorker)));
+  ThreadPool* pool = worker_pool(workers);
 
   // (1)+(2) Platform updates and publishes rewards for round k. With
-  // reprice workers configured, a due neighbor-cache rebuild fans its count
-  // pass over the dedicated reprice pool and the mechanism's sweep shards
-  // over the same workers — both are reprice work, so both sit inside the
-  // phase timer (unlike the sharded loop's untimed front-loaded warm above,
-  // which belongs to the plan workers and predates this knob).
+  // workers, a due neighbor-cache rebuild fans its count pass over the
+  // round's pool (a no-op unless a rebuild is due, and integer-exact either
+  // way) and the mechanism's sweep shards over the same workers — both are
+  // reprice work, so both sit inside the reprice timer.
   double t0 = timed ? mono_seconds() : 0.0;
-  const int reprice_workers = resolve_threads(params_.reprice_threads);
-  if (reprice_workers > 1) {
-    if (reprice_pool_ == nullptr || reprice_pool_->size() != reprice_workers) {
-      reprice_pool_ = std::make_unique<ThreadPool>(reprice_workers);
-    }
-    world_.warm_neighbor_cache(*reprice_pool_, reprice_workers);
-    mechanism_->set_reprice_workers(reprice_pool_.get(), reprice_workers);
-  } else {
-    mechanism_->set_reprice_workers(nullptr, 1);
-  }
+  if (pool != nullptr) world_.warm_neighbor_cache(*pool, workers);
+  mechanism_->set_reprice_workers(pool, workers);
   mechanism_->update_rewards(world_, k);
   if (timed) phase_.reprice += mono_seconds() - t0;
 
@@ -1040,17 +825,14 @@ const RoundMetrics& Simulator::step() {
                 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
   order_rng.shuffle(visit_order);
 
-  // (3)+(4) Every user selects and performs a task set. The sharded loop
-  // gathers candidates from a spatial index, so only the legacy paths pay
-  // for the dense O(open^2) CandidatePool.
-  if (!want_sharded || !run_sessions_sharded(k, open, visit_order, rm)) {
-    const auto pool = build_round_pool(world_, *mechanism_, open);
-    if (intra_round) {
-      run_sessions_intra_round(k, open, pool, visit_order, rm,
-                               session_mean_sum, priced_sessions);
-    } else {
-      run_sessions_planned(k, open, pool, visit_order, rm);
-    }
+  // (3)+(4) Every user selects and performs a task set. Only the serial
+  // loop pays for the dense O(open^2) CandidatePool; the round loop gathers
+  // candidates from a spatial index.
+  if (!intra_round && !params_.legacy_commit) {
+    run_round(k, open, visit_order, pool, workers, rm);
+  } else {
+    run_sessions_serial(k, open, build_round_pool(world_, *mechanism_, open),
+                        visit_order, rm, session_mean_sum, priced_sessions);
   }
 
   // For intra-round mechanisms the round-start snapshot is not what users

@@ -44,68 +44,43 @@ struct SimulatorParams {
   // from their own hash-based stream (mixed from faults.seed and
   // order_seed), so they never perturb mobility or ordering draws.
   FaultPlan faults;
-  // Worker threads for the per-user planning phase of round-granularity
-  // mechanisms (updates_within_round() == false). 1 = plan serially
-  // (default); 0 = one worker per hardware thread; n = exactly n. Prices,
-  // the open set and the candidate pool are frozen at round start, so every
-  // user's selection instance and plan can be computed concurrently and
-  // committed serially in visit order — the campaign is bit-identical at
-  // any thread count (pinned by the plan-equivalence suite, including under
-  // TSan). Intra-round mechanisms reprice between sessions and always run
-  // serially regardless of this knob. Requires the selector to support
-  // clone(); selectors without it fall back to serial planning.
+  // Worker threads for the round: 1 = serial (default); 0 = one worker per
+  // hardware thread; n = up to n. A round gets at most one worker per 256
+  // users (smaller rounds run serially). Round-granularity mechanisms
+  // (updates_within_round() == false) run the round loop, whose pre-pass,
+  // user bucketing, plan, commit, neighbor-cache warm and reprice sweep all
+  // share one pool of this size (the phases never overlap). Campaigns are
+  // bit-identical at any value, pinned by the round-loop suite under TSan.
+  // Intra-round mechanisms plan and commit serially; only their round-start
+  // reprice sweep uses the workers. Selectors without clone() plan serially
+  // while the other phases still fan out.
   int plan_threads = 1;
-  // Spatially sharded round execution for round-granularity mechanisms
-  // (updates_within_round() == false). 0 = the legacy round loop (default);
-  // n >= 1 = sharded with exactly n workers; kAutoShards = one worker per
-  // hardware thread. The sharded loop partitions users by the SpatialGrid
-  // cell of their round-start location, runs mobility/dropout and the
-  // per-user planning per shard on the plan workers, and commits serially
-  // in visit order. It never builds the dense CandidatePool (per-user
-  // candidates come from a spatial index over the open tasks, filtered by
-  // the exact reach predicate the DP front-end prunes with), which is what
-  // makes 10^6-user / 10^5-task rounds tractable. Campaigns are
-  // bit-identical at any shard count (pinned by the shard-equivalence
-  // suite); versus the legacy loop they are bit-identical whenever the
-  // selector's output is invariant under dropping candidates beyond the
-  // travel-distance budget (DP by construction, greedy by the triangle
-  // inequality — both pinned) and mobility draws no randomness
-  // (static-home, commute). Stochastic mobility uses per-user hash-seeded
-  // substreams instead of the serial draw stream: a different but equally
-  // valid trajectory, still invariant across shard counts. Intra-round
-  // mechanisms ignore this knob, and selectors without clone() fall back
-  // to the legacy loop (exactly like plan_threads).
+  // Accepted and ignored. Earlier versions chose between round loops and
+  // sized a separate reprice pool with these; both fields (and their config
+  // keys) stay parsed so existing configs and callers keep working.
   int shards = 0;
-  static constexpr int kAutoShards = -1;
-  // Worker threads for the reprice phase: the mechanism's demand/level/
-  // reward sweep and, when a neighbor-cache rebuild is due, the cache's
-  // per-task count pass. 1 = serial (default); 0 = one worker per hardware
-  // thread; n = exactly n. The sweep partitions into disjoint task-row
-  // ranges with a two-pass deterministic Nmax reduction, so campaigns are
-  // bit-identical at any value (pinned by the reprice-equivalence suite,
-  // including under TSan). Uses a dedicated pool so the plan/shard worker
-  // counts stay independent knobs; mechanisms without a sharded sweep
-  // simply ignore the workers.
   int reprice_threads = 1;
   // Record cumulative wall-clock seconds of the round phases (pre-pass /
   // plan / reprice / commit) into CampaignMetrics. Off by default: the
   // timer reads are cheap but nonzero, and the fields are diagnostics.
   bool phase_timers = false;
-  // Debug oracle: force the legacy one-user-at-a-time serial commit instead
-  // of the buffered walk/merge/apply pipeline (sim/commit.h) on the planned
-  // and sharded paths. The two commits are bit-identical by construction —
-  // this knob exists so the CommitEquivalence suite can pin that claim and
-  // so BM_CampaignCommit can measure the old path. Intra-round mechanisms
-  // always use the legacy per-session commit (they reprice mid-round).
+  // Reference oracle: run round-granularity mechanisms through the serial
+  // session loop instead of the round loop. There every open task is a
+  // candidate (no reach filter), users plan and commit one at a time in
+  // visit order, mobility draws from the serial stream and the plan memo is
+  // not consulted. On deterministic mobility (static-home, commute) it is
+  // bit-identical to the round loop; it exists so tests and
+  // BM_CampaignCommit can compare against it. Intra-round mechanisms always
+  // take this loop.
   bool legacy_commit = false;
   // Cross-user plan memoization for the planning phase (select/plan_memo.h):
   // users of one round whose selection instances are provably equivalent
   // share one solve. Off by default; when memo.enabled the campaign stays
-  // bit-identical to the memo-free run (pinned by the plan-memo equivalence
-  // suite) at any plan_threads value — classification and publication are
-  // serial phases, only the solves fan out. Intra-round mechanisms reprice
-  // between sessions, so the memo does not apply to them (ignored, exactly
-  // like plan_threads).
+  // bit-identical to the memo-free run (pinned by the round-loop suite) at
+  // any plan_threads value: tables are per spatial cell and
+  // filled in user-position order, whichever worker owns the cell.
+  // Intra-round mechanisms reprice between sessions, so the memo does not
+  // apply to them, nor to the legacy_commit reference.
   select::PlanMemoParams memo;
 };
 
@@ -184,42 +159,31 @@ class Simulator {
   /// how many were withdrawn. No-op without faults.
   int apply_withdrawals(std::vector<bool>& open, Round k) const;
 
-  /// Serial session loop for intra-round mechanisms: mobility, dropout,
-  /// incremental reprice (dirty set = tasks the previous session touched),
-  /// plan and commit, one user at a time in visit order.
-  void run_sessions_intra_round(
+  /// Serial session loop: mobility, dropout, plan and commit, one user at a
+  /// time in visit order. Intra-round mechanisms also reprice before every
+  /// session (dirty set = tasks the previous session touched) and record
+  /// the session prices. Serves intra-round mechanisms and the
+  /// legacy_commit reference.
+  void run_sessions_serial(
       Round k, const std::vector<bool>& open,
       const std::shared_ptr<const select::CandidatePool>& pool,
       const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
       double& session_mean_sum, int& priced_sessions);
 
-  /// Parallel-plan / serial-commit session loop for round-granularity
-  /// mechanisms: a serial pre-pass advances mobility and dropout in visit
-  /// order (preserving the mobility rng stream), every surviving user's
-  /// plan is computed concurrently against the frozen round state, then
-  /// deliveries, payments and the remaining fault draws commit serially in
-  /// visit order. Bit-identical to the serial loop at any thread count.
-  void run_sessions_planned(
-      Round k, const std::vector<bool>& open,
-      const std::shared_ptr<const select::CandidatePool>& pool,
-      const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm);
+  /// The round loop for round-granularity mechanisms: a parallel pre-pass
+  /// (mobility from per-user substreams, dropout), users bucketed by spatial
+  /// cell, per-cell planning against a frozen index of the open priced
+  /// tasks, then the buffered commit. Every phase fans out over `pool`
+  /// (null = serial); the campaign is bit-identical at any worker count.
+  void run_round(Round k, const std::vector<bool>& open,
+                 const std::vector<std::uint32_t>& visit_order,
+                 ThreadPool* pool, int workers, RoundMetrics& rm);
 
-  /// Sharded session loop (SimulatorParams::shards): pre-pass and planning
-  /// fan out over spatial shards, commit stays serial in visit order.
-  /// Returns false when the selector cannot clone() — the caller then
-  /// builds the round pool and takes the legacy planned path.
-  bool run_sessions_sharded(Round k, const std::vector<bool>& open,
-                            const std::vector<std::uint32_t>& visit_order,
-                            RoundMetrics& rm);
-
-  /// Shard worker count per SimulatorParams::shards (kAutoShards resolves
-  /// to the hardware concurrency).
-  int shard_worker_count() const;
-
-  /// Side length of the spatial shard cells: area-derived (longest side /
-  /// 64), so the partition — and with it every per-cell memo table — is a
-  /// pure function of the world geometry, never of the worker count.
-  Meters shard_cell_size() const;
+  /// Side length of the round loop's spatial cells: the longest area side
+  /// over min(64, ceil(sqrt(max(users, tasks)))), so the partition — and
+  /// with it every per-cell memo table — is a pure function of the world,
+  /// never of the worker count.
+  Meters cell_size() const;
 
   /// Walk user `pos`'s planned tour: abandonment/upload fault draws,
   /// deliveries, payments, event records and the user's profit row. When
@@ -230,30 +194,23 @@ class Simulator {
                       std::vector<std::size_t>* dirty);
 
   /// Buffered commit (sim/commit.h): walk every surviving user's tour into
-  /// per-segment effect buffers (fanned over the plan workers when
-  /// present), replay payments/events/wasted-travel in global visit order,
-  /// then apply deliveries grouped by task row. `reward_row` is the frozen
-  /// round price per task row (plans only reference rows it covers).
-  /// Bit-identical to the legacy serial commit loop at any worker count.
+  /// per-segment effect buffers (fanned over `pool` when present), replay
+  /// payments/events/wasted-travel in global visit order, then apply
+  /// deliveries grouped by task row. `reward_row` is the frozen round price
+  /// per task row (plans only reference rows it covers). Bit-identical to
+  /// committing one user at a time via commit_session at any worker count.
   void commit_sessions(Round k, const std::vector<std::uint32_t>& visit_order,
                        const std::vector<char>& dropped,
                        const std::vector<select::Selection>& plans,
                        const std::vector<char>& feasible,
-                       const std::vector<Money>& reward_row, RoundMetrics& rm);
+                       const std::vector<Money>& reward_row, ThreadPool* pool,
+                       int workers, RoundMetrics& rm);
 
-  /// Lazily build the plan pool plus one selector clone per worker
-  /// (selectors' scratch arenas are not reentrant — DESIGN.md §7). Returns
-  /// false when the selector is not clonable; callers then plan serially.
-  bool ensure_plan_workers(int threads);
-
-  /// Solve the listed users' plans into `plans`/`feasible` (indexed by user
-  /// position), serially or sharded across the plan workers — the batch
-  /// primitive shared by the plain plan phase and the memo's solve waves.
-  void solve_positions(const std::vector<std::uint32_t>& positions,
-                       const std::vector<bool>& open,
-                       const std::shared_ptr<const select::CandidatePool>& pool,
-                       std::vector<select::Selection>& plans,
-                       std::vector<char>& feasible);
+  /// The round's worker pool for `workers` (created on first use and kept
+  /// across rounds; null when workers <= 1), plus one selector clone per
+  /// worker when the selector supports clone() — selectors' scratch arenas
+  /// are not reentrant (DESIGN.md §7).
+  ThreadPool* worker_pool(int workers);
 
   model::World world_;
   std::unique_ptr<incentive::IncentiveMechanism> mechanism_;
@@ -266,36 +223,31 @@ class Simulator {
   EventLog events_;
   Round next_round_ = 1;
   std::vector<RoundMetrics> history_;
-  // Plan-phase workers (round-granularity mechanisms only), created on
-  // first parallel round and reused across rounds.
-  std::unique_ptr<ThreadPool> plan_pool_;
+  // Round workers (params_.plan_threads > 1 after resolution), created on
+  // first use and reused across rounds; plan_selectors_ stays empty when
+  // the selector cannot clone().
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<select::TaskSelector>> plan_selectors_;
-  // Reprice-phase workers (params_.reprice_threads > 1 after resolution),
-  // created on first use and reused across rounds. Separate from plan_pool_
-  // so resizing one phase's worker count never thrashes the other's
-  // selector clones.
-  std::unique_ptr<ThreadPool> reprice_pool_;
-  // Cross-user plan memo (params_.memo); table rebuilt per round, stats
-  // cumulative over the campaign.
+  // Campaign-cumulative plan-memo stats, harvested from the per-worker cell
+  // tables each round.
   select::PlanMemo plan_memo_;
-  // Sharded-loop state: one poolless PlanMemo per shard worker (tables are
-  // per-cell, stats harvested into plan_memo_ each round) plus persistent
-  // scratch so the steady state stays allocation-free.
-  std::vector<std::unique_ptr<select::PlanMemo>> shard_memos_;
-  std::vector<char> shard_dropped_;            // per user position, per round
-  std::vector<std::uint32_t> shard_cell_of_;   // cell id per user position
-  std::vector<std::uint32_t> shard_cell_start_;  // CSR offsets, n_cells + 1
-  std::vector<std::uint32_t> shard_users_;     // positions grouped by cell
-  std::vector<Money> shard_reward_;            // round-start price per task
-  std::vector<select::Selection> shard_plans_;
-  std::vector<char> shard_feasible_;
+  // Round-loop state: one PlanMemo per worker (tables are per-cell) plus
+  // persistent scratch so the steady state stays allocation-free.
+  std::vector<std::unique_ptr<select::PlanMemo>> cell_memos_;
+  std::vector<char> dropped_;             // per user position, per round
+  std::vector<std::uint32_t> cell_of_;    // cell id per user position
+  std::vector<std::uint32_t> cell_start_; // CSR offsets, n_cells + 1
+  std::vector<std::uint32_t> cell_users_; // positions grouped by cell
+  std::vector<Money> round_reward_;       // round-start price per task row
+  std::vector<std::uint32_t> priced_rows_;  // open priced task rows
+  std::vector<geo::Point> priced_points_;   // their locations, same order
+  std::vector<select::Selection> plans_;
+  std::vector<char> feasible_;
   // Per-worker cell histograms for the two-pass parallel bucketing
   // (workers × n_cells, count pass then scatter cursors).
-  std::vector<std::uint32_t> shard_bucket_counts_;
-  // Buffered-commit scratch (sim/commit.h) and the planned path's frozen
-  // per-row price snapshot.
+  std::vector<std::uint32_t> bucket_counts_;
+  // Buffered-commit scratch (sim/commit.h).
   CommitScratch commit_scratch_;
-  std::vector<Money> commit_reward_;
   // Cumulative phase timers (params_.phase_timers; see CampaignMetrics).
   struct PhaseSeconds {
     double prepass = 0.0;

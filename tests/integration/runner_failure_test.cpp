@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "exp/runner.h"
 #include "incentive/mechanism.h"
+#include "sim/checkpoint.h"
 
 namespace mcs::exp {
 namespace {
@@ -368,6 +369,49 @@ TEST(RunnerCheckpoint, StaleCheckpointsOfAnotherConfigAreNeverResumed) {
   reseeded_clean.seed = 4711;
   expect_aggregate_identical(run_experiment(reseeded_clean),
                              run_experiment(reseeded));
+}
+
+// Older builds ran default campaigns through the serial session loop, whose
+// stochastic mobility draws differ from the round loop's; their checkpoints
+// carry "sharded": false in the provenance stamp. They decode fine and name
+// the same mechanism and selector, but resuming one would graft the other
+// loop's trajectory into this campaign — so it must never be resumed.
+TEST(RunnerCheckpoint, SerialLoopCheckpointsAreNeverResumed) {
+  ExperimentConfig cfg = small_config();
+  cfg.repetitions = 1;
+  cfg.mobility = sim::MobilityKind::kGaussianDrift;
+  cfg.checkpoint_every = 2;
+  cfg.checkpoint_dir = make_temp_dir();
+  const std::string rep_dir = cfg.checkpoint_dir + "/rep-0";
+  auto never = std::make_shared<std::atomic<bool>>(false);
+  // One run over the shared directory; returns the aggregate and how often
+  // round 1 was priced (0 = resumed from a checkpoint past round 1).
+  const auto run = [&] {
+    auto round1_updates = std::make_shared<std::atomic<int>>(0);
+    const MechanismFactory factory = [&](const model::World& world, Rng& rng) {
+      return std::make_unique<ThrowOnceMechanism>(
+          incentive::make_mechanism(cfg.mechanism, world, cfg.mech_params,
+                                    rng),
+          /*crash_round=*/0, never, round1_updates);
+    };
+    AggregateResult agg = run_experiment_with(cfg, factory);
+    return std::make_pair(std::move(agg), round1_updates->load());
+  };
+
+  const auto [base, base_updates] = run();
+  EXPECT_EQ(base_updates, 1);
+  // Control: this build's own generations are resumed.
+  EXPECT_EQ(run().second, 0);
+
+  // Restamp the newest generation as the serial loop's.
+  sim::LoadedCheckpoint latest = sim::load_latest_checkpoint(rep_dir);
+  ASSERT_TRUE(latest.checkpoint.provenance.at("sharded").as_bool());
+  latest.checkpoint.provenance["sharded"] = Json(false);
+  ASSERT_TRUE(sim::CheckpointWriter(rep_dir).write(latest.checkpoint));
+
+  const auto [fresh, fresh_updates] = run();
+  EXPECT_EQ(fresh_updates, 1);  // started from scratch
+  expect_aggregate_identical(base, fresh);
 }
 
 TEST(RunnerFailure, NonErrorExceptionsPropagate) {

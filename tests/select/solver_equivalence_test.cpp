@@ -3,6 +3,8 @@
 // profit), and every solver dominates greedy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "select/branch_bound_selector.h"
@@ -14,8 +16,11 @@
 namespace mcs::select {
 namespace {
 
+// gtest names each case by dumping the parameter's bytes, so the struct has
+// no padding: a 32-bit count would leave four uninitialised bytes before
+// budget_s and make the case names differ from run to run.
 struct Scenario {
-  int num_candidates;
+  std::int64_t num_candidates;
   double budget_s;
   double cost_per_meter;
 };

@@ -191,8 +191,8 @@ void BM_CampaignSharded(benchmark::State& state) {
 // Commit-phase A/B on the large-world workload: range(0) users, one worker
 // so the commit and pre-pass phases are pure single-thread work, range(1)
 // picks the loop (0 = the round loop with its buffered commit, the default;
-// 1 = the legacy_commit serial reference, one user at a time over the dense
-// candidate pool). The campaign is bit-identical between the two (pinned by
+// 1 = the legacy_commit serial reference, one user at a time with every
+// open task a candidate). The campaign is bit-identical between the two (pinned by
 // the RoundLoop suite), so the phase_commit_s + phase_prepass_s delta
 // between the series is the restructuring win the commit buffers buy. One
 // campaign per iteration for the same reason as BM_CampaignSharded. This is
@@ -339,9 +339,9 @@ BENCHMARK(BM_CampaignReprice)
     ->Unit(benchmark::kMillisecond);
 // Commit A/B: round loop (0) vs the serial reference (1) at 100k users.
 // Single iteration like the other large-world runs; the phase counters, not
-// the total wall time, are the artifact. No 1M pair: the reference's dense
-// candidate pool is quadratic in open tasks and does not fit time or memory
-// at 100k tasks.
+// the total wall time, are the artifact. No 1M pair: the reference offers
+// every open task to every user, O(users x open tasks) work per round, which
+// does not fit the time at 1M users and 100k tasks.
 BENCHMARK(BM_CampaignCommit)
     ->ArgsProduct({{100000}, {0, 1}})
     ->Iterations(1)

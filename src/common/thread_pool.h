@@ -78,7 +78,8 @@ void parallel_for_each(int threads, std::size_t n,
 /// Determinism discipline: ranges are disjoint, so callers writing results
 /// into per-index slots get bit-identical output at any worker count;
 /// reductions store one partial per `range` slot and fold the slots
-/// serially after this returns (see DemandIndicator's Nmax reduction).
+/// serially after this returns (see the round loop's per-range bucketing
+/// histograms in sim/simulator.cpp).
 /// `range` is always < min(workers, n) — but note the serial path delivers
 /// everything as range 0, so per-range slots must be initialized to the
 /// reduction's identity, not assumed all-written.

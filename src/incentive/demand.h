@@ -16,10 +16,6 @@
 #include "common/types.h"
 #include "model/world.h"
 
-namespace mcs {
-class ThreadPool;
-}
-
 namespace mcs::incentive {
 
 /// Scale coefficients lambda1..lambda3 of Eqs. 3–5.
@@ -80,10 +76,6 @@ class DemandIndicator {
   double demand_from_fields(Round deadline, int required, int received,
                             Round k, int neighbors, int max_neighbors) const;
 
-  /// Sentinel max_neighbors for the *_into overloads: scan the supplied
-  /// counts for Nmax (two-pass deterministic reduction; see demands_into).
-  static constexpr int kScanForMax = -1;
-
   /// Raw demands for all tasks of a world at round k. Completed or expired
   /// tasks get demand 0 (they no longer ask for participants).
   ///
@@ -106,25 +98,17 @@ class DemandIndicator {
   /// mechanism hot path calls this once per publish with a reused member
   /// buffer, so steady-state repricing allocates nothing. This overload
   /// scans the counts for Nmax — callers holding the cache's running max
-  /// (World::neighbor_max_count() or NeighborDelta::max_count) should pass
-  /// it to the overload below and skip the O(T) scan.
+  /// (World::neighbor_snapshot()) should pass it to the overload below and
+  /// skip the O(T) scan.
   void demands_into(const model::World& world, Round k,
                     const std::vector<int>& neighbor_counts,
                     std::vector<double>& out) const;
 
-  /// The sharded core: the per-row sweep partitions into disjoint task-row
-  /// ranges fanned out over `pool` (parallel_ranges; pool = nullptr or
-  /// workers <= 1 runs serially inline). Each row is a pure function of the
-  /// store columns, its count and Nmax written to its own out slot, so the
-  /// result is bit-identical at any worker count. `max_neighbors` is Nmax
-  /// (>= every count; callers with the cache's running max pass it here);
-  /// kScanForMax derives it from the counts by a two-pass deterministic
-  /// reduction — per-range integer max into fixed slots, then a serial fold
-  /// — which is exact for any partition because integer max is associative.
+  /// Same with Nmax supplied: `max_neighbors` must be >= every count.
+  /// One sweep over the store columns, each row the demand() expression.
   void demands_into(const model::World& world, Round k,
                     const std::vector<int>& neighbor_counts, int max_neighbors,
-                    std::vector<double>& out, ThreadPool* pool = nullptr,
-                    int workers = 1) const;
+                    std::vector<double>& out) const;
 
   /// Normalized demand in [0,1]: d / (lambda_max * ln 2)  (§IV-C).
   double normalize(double demand) const;
@@ -140,27 +124,18 @@ class DemandIndicator {
                                const std::vector<int>& neighbor_counts,
                                std::vector<double>& out) const;
 
-  /// Sharded fused normalize; max_neighbors/pool semantics exactly as in
-  /// the sharded demands_into above.
+  /// Fused normalize with Nmax supplied (see demands_into above).
   void normalized_demands_into(const model::World& world, Round k,
                                const std::vector<int>& neighbor_counts,
-                               int max_neighbors, std::vector<double>& out,
-                               ThreadPool* pool = nullptr,
-                               int workers = 1) const;
+                               int max_neighbors,
+                               std::vector<double>& out) const;
 
  private:
-  /// Shared body of the two sharded *_into overloads (normalized toggles
-  /// the fused per-row normalize).
+  /// Shared body of the *_into overloads (normalized toggles the fused
+  /// per-row normalize).
   void sweep_into(const model::World& world, Round k,
                   const std::vector<int>& neighbor_counts, int max_neighbors,
-                  bool normalized, std::vector<double>& out, ThreadPool* pool,
-                  int workers) const;
-
-  /// The kScanForMax reduction: max over counts, partitioned like
-  /// sweep_into. Counts are non-negative by contract (neighbor_factor
-  /// checks), so empty/serial slots fold as identity 0.
-  static int max_count_over(const std::vector<int>& counts, ThreadPool* pool,
-                            int workers);
+                  bool normalized, std::vector<double>& out) const;
 
   DemandParams params_;
   std::vector<double> weights_;

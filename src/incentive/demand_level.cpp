@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace mcs::incentive {
 
@@ -41,19 +40,8 @@ std::vector<int> DemandLevelScale::levels_for(
 
 void DemandLevelScale::levels_into(const std::vector<double>& demands,
                                    std::vector<int>& out) const {
-  levels_into(demands, out, nullptr, 1);
-}
-
-void DemandLevelScale::levels_into(const std::vector<double>& demands,
-                                   std::vector<int>& out, ThreadPool* pool,
-                                   int workers) const {
   out.resize(demands.size());
-  parallel_ranges(pool, workers, demands.size(),
-                  [&](std::size_t, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      out[i] = level(demands[i]);
-                    }
-                  });
+  for (std::size_t i = 0; i < demands.size(); ++i) out[i] = level(demands[i]);
 }
 
 }  // namespace mcs::incentive

@@ -192,15 +192,8 @@ void World::rebuild_neighbor_derived() const {
       ncache_.max_count = ncache_.counts[i];
     }
   }
-  // Reset the change journal: per-position deltas are meaningless across a
-  // rebuild, so consumers see rebuilt=true until the next take.
-  ncache_.changed.clear();
-  ncache_.changed_mark.assign(tstore_->size(), 0);
-  ncache_.changed_gen = 1;
-  ncache_.rebuilt_pending = true;
   // Size the sync scratch here too, so the first delta sync after a rebuild
-  // is allocation-free (the steady-state reprice path is gated on zero
-  // heap traffic).
+  // is allocation-free.
   ncache_.delta.assign(tstore_->size(), 0);
   ncache_.touch_mark.assign(tstore_->size(), 0);
   ncache_.valid = true;
@@ -253,24 +246,20 @@ void World::sync_neighbor_cache() const {
   //
   // Batched: the per-user grid pokes only accumulate ±1 into a net-delta
   // scratch (plus a first-touch list), and the count / histogram / running
-  // max / journal bookkeeping is applied once per touched task in a single
-  // sweep afterwards. A drift round where every user moves pokes each hot
-  // task hundreds of times; the batched kernel pays the histogram walk and
-  // journal dedup once per task instead of once per poke. The final counts,
-  // histogram, max and journal are identical to the historical poke-at-a-
-  // time path: net deltas commute over integer adds, the max is re-derived
-  // from the exact histogram, and the first-touch order of the scratch list
-  // equals the first-bump order (same traversal, application deferred).
+  // max bookkeeping is applied once per touched task in a single sweep
+  // afterwards. A drift round where every user moves pokes each hot task
+  // hundreds of times; the batched kernel pays the histogram walk once per
+  // task instead of once per poke. Net deltas commute over integer adds and
+  // the max is re-derived from the exact histogram, so the result equals
+  // the poke-at-a-time path.
   if (ncache_.delta.size() != tstore_->size()) {
     ncache_.delta.assign(tstore_->size(), 0);  // kept all-zero between syncs
   }
   ncache_.touched.clear();
   const auto poke = [this](std::int32_t t, int d) {
-    if (ncache_.delta[static_cast<std::size_t>(t)] == 0 &&
-        ncache_.touch_mark[static_cast<std::size_t>(t)] !=
-            ncache_.changed_gen) {
+    if (ncache_.touch_mark[static_cast<std::size_t>(t)] == 0) {
       ncache_.touched.push_back(static_cast<std::size_t>(t));
-      ncache_.touch_mark[static_cast<std::size_t>(t)] = ncache_.changed_gen;
+      ncache_.touch_mark[static_cast<std::size_t>(t)] = 1;
     }
     ncache_.delta[static_cast<std::size_t>(t)] += d;
   };
@@ -292,14 +281,6 @@ void World::sync_neighbor_cache() const {
     ncache_.user_pos[i] = now;
   }
   for (const std::size_t pos : ncache_.touched) {
-    // Touched tasks enter the journal even at net-zero delta — exactly the
-    // positions the poke-at-a-time path journaled ("changed and changed
-    // back" is documented as allowed; consumers recompute from the current
-    // count).
-    if (ncache_.changed_mark[pos] != ncache_.changed_gen) {
-      ncache_.changed_mark[pos] = ncache_.changed_gen;
-      ncache_.changed.push_back(pos);
-    }
     const int d = ncache_.delta[pos];
     ncache_.delta[pos] = 0;
     ncache_.touch_mark[pos] = 0;
@@ -337,28 +318,12 @@ const std::vector<int>& World::neighbor_counts() const {
 }
 
 int World::neighbor_max_count() const {
-  neighbor_counts();  // sync or rebuild
-  return ncache_.max_count;
+  return neighbor_snapshot().max_count;
 }
 
-World::NeighborDelta World::take_neighbor_changes() const {
-  neighbor_counts();  // sync or rebuild
-  MCS_NCACHE_GUARD(ncache_busy_);
-  NeighborDelta d;
-  d.rebuilt = ncache_.rebuilt_pending;
-  std::swap(ncache_.changed, ncache_.taken);
-  ncache_.changed.clear();
-  // A fresh generation invalidates every mark; on wrap-around (once per
-  // 2^32 takes) the marks are reset so stale stamps can never alias.
-  if (++ncache_.changed_gen == 0) {
-    ncache_.changed_mark.assign(ncache_.changed_mark.size(), 0);
-    ncache_.changed_gen = 1;
-  }
-  ncache_.rebuilt_pending = false;
-  d.changed = &ncache_.taken;
-  d.counts = &ncache_.counts;
-  d.max_count = ncache_.max_count;
-  return d;
+World::NeighborSnapshot World::neighbor_snapshot() const {
+  const std::vector<int>& counts = neighbor_counts();  // sync or rebuild
+  return {&counts, ncache_.max_count};
 }
 
 long long World::total_required() const {

@@ -113,36 +113,19 @@ class World {
   /// O(moved) and stays serial. Counts are integer-exact and identical to
   /// the serial rebuild: workers only run read-only count_radius queries
   /// over the freshly built user grid into disjoint count slots, and the
-  /// histogram/journal bookkeeping is rebuilt serially afterwards. The
-  /// caller must be the cache's single consumer (same contract as
-  /// neighbor_counts()).
+  /// histogram is rebuilt serially afterwards. The caller must be the
+  /// cache's single consumer (same contract as neighbor_counts()).
   void warm_neighbor_cache(ThreadPool& pool, int workers) const;
 
-  /// Everything that happened to the neighbor counts since the journal was
-  /// last taken. `rebuilt` true means the cache was rebuilt from scratch
-  /// (task/user set changed, or first use) and `changed` lists nothing
-  /// useful — the consumer must assume every count moved. Otherwise
-  /// `changed` holds the task positions whose count was touched since the
-  /// last take, deduplicated, in first-touch order (it may include
-  /// positions whose count changed and changed back; consumers recompute
-  /// from the current count, so that is merely redundant work, never
-  /// wrong). The pointer stays valid until the next take.
-  struct NeighborDelta {
-    bool rebuilt = true;
-    const std::vector<std::size_t>* changed = nullptr;
-    /// The synced counts and running max at take time — identical to what
-    /// neighbor_counts()/neighbor_max_count() would return, carried here so
-    /// the consumer does not pay the location-diff sync three times over.
+  /// The synced counts and their running max from one sync — identical to
+  /// what neighbor_counts()/neighbor_max_count() return, without paying
+  /// the O(U) location diff twice. The pointer stays valid until the next
+  /// cache-syncing call.
+  struct NeighborSnapshot {
     const std::vector<int>* counts = nullptr;
     int max_count = 0;
   };
-
-  /// Sync the cache and take the journal (clearing it). SINGLE-CONSUMER:
-  /// taking is destructive, so exactly one reader may pair cached derived
-  /// state with the journal — in this codebase the simulator's one
-  /// mechanism per world (OnDemandMechanism's reprice fast path).
-  /// neighbor_counts()/neighbor_max_count() never disturb the journal.
-  NeighborDelta take_neighbor_changes() const;
+  NeighborSnapshot neighbor_snapshot() const;
 
   /// Total number of measurements required across tasks (sum of phi_i);
   /// the denominator of Eq. 9.
@@ -163,7 +146,7 @@ class World {
   void sync_neighbor_cache() const;
 
   /// Shared serial prologue/epilogue of the serial and pooled rebuilds:
-  /// grids + position snapshots, then histogram/journal reconstruction.
+  /// grids + position snapshots, then histogram reconstruction.
   void rebuild_neighbor_grids() const;
   void rebuild_neighbor_derived() const;
 
@@ -196,16 +179,6 @@ class World {
     // tracks the largest non-empty bucket (0 when there are no tasks).
     int max_count = 0;
     std::vector<int> count_freq;
-    // Change journal (see take_neighbor_changes): `changed` accumulates
-    // first-touch task positions, deduplicated by a generation-stamped mark
-    // per task; `taken` is the buffer handed to the consumer (swap keeps
-    // the steady state allocation-free). `rebuilt_pending` stays set from a
-    // rebuild until the next take.
-    std::vector<std::size_t> changed;
-    std::vector<std::size_t> taken;
-    std::vector<std::uint32_t> changed_mark;
-    std::uint32_t changed_gen = 1;
-    bool rebuilt_pending = true;
     // Batched-sync scratch (sync_neighbor_cache): net count delta per task
     // and the first-touch list of the sync in flight. Both are left empty /
     // all-zero when the sync returns, so they carry no state between calls.

@@ -3,8 +3,6 @@
 // total reward minus travel cost, with travel time within the budget.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -12,8 +10,6 @@
 #include "geo/point.h"
 
 namespace mcs::select {
-
-class CandidatePool;  // select/candidate_pool.h
 
 /// A task the user could perform this round (not yet contributed to, not
 /// completed, not expired, reward as published this round).
@@ -29,23 +25,8 @@ struct SelectionInstance {
   geo::TravelModel travel;
   Seconds time_budget = 0.0;         // B_ui^k
 
-  // Shared round geometry (optional). When `pool` is set, `pool_index` runs
-  // parallel to `candidates` and maps each one to its row in the pool;
-  // selectors then reuse the pool's precomputed candidate–candidate
-  // distances instead of recomputing them per user. Rewards are always read
-  // from `candidates` (intra-round mechanisms reprice between sessions; the
-  // pool carries geometry only). Instances without a pool behave exactly as
-  // before — sharing is bit-invisible to every solver.
-  std::shared_ptr<const CandidatePool> pool;
-  std::vector<std::int32_t> pool_index;
-
   /// Maximum travel distance the time budget allows.
   Meters distance_budget() const { return travel.distance_within(time_budget); }
-
-  /// True when the pool fields are usable for candidate-distance lookups.
-  bool has_pool() const {
-    return pool != nullptr && pool_index.size() == candidates.size();
-  }
 };
 
 /// A solution: the chosen tasks in visiting order plus its economics.

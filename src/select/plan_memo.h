@@ -139,10 +139,6 @@ class PlanMemo {
 
   const PlanMemoStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Resume path: reinstall cumulative counters from a checkpoint. The
-  /// table itself is per-cell (begin_cell drops it), so the counters are
-  /// the memo's only cross-round state.
-  void restore_stats(const PlanMemoStats& stats) { stats_ = stats; }
 
  private:
   struct Entry {

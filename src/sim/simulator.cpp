@@ -13,7 +13,6 @@
 #include "common/stats.h"
 #include "geo/distance.h"
 #include "geo/spatial_grid.h"
-#include "select/candidate_pool.h"
 #include "sim/checkpoint.h"
 #include "sim/serialize.h"
 
@@ -33,8 +32,7 @@ Simulator::Simulator(model::World world,
       mobility_rng_(params.order_seed ^ 0xb0b1b2b3b4b5b6b7ULL),
       faults_(params.faults, params.order_seed),
       budget_(params.platform_budget, /*strict=*/false),
-      events_(params.record_events),
-      plan_memo_(params.memo) {
+      events_(params.record_events) {
   MCS_CHECK(mechanism_ != nullptr, "simulator needs a mechanism");
   MCS_CHECK(selector_ != nullptr, "simulator needs a selector");
   MCS_CHECK(params.max_rounds >= 1, "max_rounds must be at least 1");
@@ -49,75 +47,49 @@ double mono_seconds() {
       .count();
 }
 
-// The mechanism's reward table as a dense per-task-row snapshot when it
-// publishes one of the right size, else nullptr. The bulk phases below read
-// rows[i] from the contiguous array instead of paying a virtual
-// bounds-checked reward(id) call per task; mechanisms without a row-indexed
-// table (custom id-keyed ones) keep the virtual path.
-const std::vector<Money>* reward_rows_of(
-    const incentive::IncentiveMechanism& mechanism, std::size_t num_tasks) {
+// The published price of the task at `row`: the mechanism's dense per-row
+// table when it publishes one of the right size (every built-in mechanism
+// does), else reward() by the task's *id* — ids need not be dense, so a row
+// is never handed to reward(). Every price read in this file goes through
+// here.
+Money price_of(const incentive::IncentiveMechanism& mechanism,
+               const model::World& world, std::size_t row) {
   const std::vector<Money>* rows = mechanism.reward_rows();
-  return rows != nullptr && rows->size() == num_tasks ? rows : nullptr;
+  return rows != nullptr && rows->size() == world.num_tasks()
+             ? (*rows)[row]
+             : mechanism.reward(world.task_store().id[row]);
 }
 
 std::vector<bool> open_tasks(const model::World& world,
                              const incentive::IncentiveMechanism& mechanism,
                              Round k) {
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
   std::vector<bool> open(world.num_tasks(), false);
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     const model::Task& t = world.tasks()[i];
-    const Money r = rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
-    open[i] = !t.completed() && !t.expired_at(k) && r > 0.0;
+    open[i] = !t.completed() && !t.expired_at(k) &&
+              price_of(mechanism, world, i) > 0.0;
   }
   return open;
 }
 
-// The geometry every user session of the round shares: one pool row per
-// open task, in task-vector order (so make_instance can recover pool rows
-// by counting open slots). Pool rewards are the round-start prices; the
-// per-user instances re-read prices from the mechanism, because intra-round
-// mechanisms reprice between sessions — the pool only contributes the
-// candidate-distance block.
-std::shared_ptr<const select::CandidatePool> build_round_pool(
-    const model::World& world, const incentive::IncentiveMechanism& mechanism,
-    const std::vector<bool>& open) {
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
-  std::vector<select::Candidate> candidates;
-  for (std::size_t i = 0; i < world.num_tasks(); ++i) {
-    if (!open[i]) continue;
-    const model::Task& t = world.tasks()[i];
-    const Money r = rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
-    candidates.push_back({t.id(), t.location(), r});
-  }
-  return std::make_shared<const select::CandidatePool>(std::move(candidates));
-}
-
+// Every open, priced task the user has not contributed to, in task-row
+// order. Prices are read at call time, so intra-round repricing between
+// sessions is visible here too.
 select::SelectionInstance make_instance(
     const model::World& world, const incentive::IncentiveMechanism& mechanism,
-    const model::User& u, const std::vector<bool>& open,
-    std::shared_ptr<const select::CandidatePool> pool, geo::Point start,
+    const model::User& u, const std::vector<bool>& open, geo::Point start,
     Seconds time_budget) {
   select::SelectionInstance inst;
   inst.start = start;
   inst.travel = world.travel();
   inst.time_budget = time_budget;
-  inst.pool = std::move(pool);
-  // Fetched per instance, so intra-round repricing between sessions is
-  // visible here too: the row table aliases the mechanism's live reward
-  // vector, it is not a copy.
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
-  std::int32_t pool_row = -1;
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     if (!open[i]) continue;
-    ++pool_row;  // every open task owns one pool row, contributed or not
     const model::Task& t = world.tasks()[i];
     if (t.has_contributed(u.id())) continue;
-    const Money reward =
-        rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
+    const Money reward = price_of(mechanism, world, i);
     if (reward <= 0.0) continue;
     inst.candidates.push_back({t.id(), t.location(), reward});
-    inst.pool_index.push_back(pool_row);
   }
   return inst;
 }
@@ -130,11 +102,10 @@ std::vector<select::SelectionInstance> Simulator::peek_instances() {
   mechanism_->update_rewards(world_, k);
   std::vector<bool> open = open_tasks(world_, *mechanism_, k);
   apply_withdrawals(open, k);
-  const auto pool = build_round_pool(world_, *mechanism_, open);
   std::vector<select::SelectionInstance> out;
   out.reserve(world_.num_users());
   for (const model::User& u : world_.users()) {
-    out.push_back(make_instance(world_, *mechanism_, u, open, pool, u.home(),
+    out.push_back(make_instance(world_, *mechanism_, u, open, u.home(),
                                 u.time_budget()));
   }
   return out;
@@ -182,7 +153,10 @@ void Simulator::commit_session(Round k, model::User& u, std::size_t pos,
   for (int li = 0; li < walked_legs; ++li) {
     const TaskId id = sel.order[static_cast<std::size_t>(li)];
     model::Task& t = world_.task(id);
-    const Money reward = mechanism_->reward(id);
+    // The task's row (tasks_ is contiguous): prices and the dirty set
+    // speak rows, matching the reprice() contract.
+    const auto row = static_cast<std::size_t>(&t - world_.tasks().data());
+    const Money reward = price_of(*mechanism_, world_, row);
     const Meters leg = geo::euclidean(at, t.location());
     walked += leg;
     at = t.location();
@@ -204,11 +178,7 @@ void Simulator::commit_session(Round k, model::User& u, std::size_t pos,
     if (corrupted) ++rm.corrupted_measurements;
     events_.record({k, u.id(), id, reward, leg, /*accepted=*/true,
                     corrupted});
-    if (dirty != nullptr) {
-      // The task's vector position (tasks_ is contiguous): the dirty set
-      // speaks positions, matching the reprice() contract.
-      dirty->push_back(static_cast<std::size_t>(&t - world_.tasks().data()));
-    }
+    if (dirty != nullptr) dirty->push_back(row);
   }
   u.set_location(at);
 
@@ -356,7 +326,6 @@ void Simulator::commit_sessions(Round k,
 
 void Simulator::run_sessions_serial(
     Round k, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
     double& session_mean_sum, int& priced_sessions) {
   // Task positions the previous session touched: between two sessions of
@@ -397,7 +366,7 @@ void Simulator::run_sessions_serial(
       int session_open = 0;
       for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
         if (!open[i]) continue;
-        const Money reward = mechanism_->reward(world_.tasks()[i].id());
+        const Money reward = price_of(*mechanism_, world_, i);
         if (reward <= 0.0) continue;
         session_sum += reward;
         ++session_open;
@@ -411,7 +380,7 @@ void Simulator::run_sessions_serial(
 
     if (timed) t0 = mono_seconds();
     const select::SelectionInstance inst = make_instance(
-        world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
+        world_, *mechanism_, u, open, u.location(), u.time_budget());
     const select::Selection sel = selector_->select(inst);
     MCS_ASSERT(select::is_feasible(inst, sel),
                "selector returned an infeasible tour");
@@ -510,86 +479,56 @@ void Simulator::run_round(Round k, const std::vector<bool>& open,
   cell_of_.resize(n_users);
   cell_start_.assign(n_cells + 1, 0);
   cell_users_.resize(n_users);
-  if (pool != nullptr && n_users >= 4096) {
-    // Two-pass parallel bucketing: per-worker per-cell histograms, one
-    // serial exclusive prefix over (cell-major, worker-minor), then a
-    // parallel scatter from per-worker cursors. Worker w owns the
-    // contiguous position range [w*chunk, (w+1)*chunk), and within a cell
-    // the workers' slots follow ascending worker index — so every cell's
-    // users land in ascending position order, exactly like the serial
-    // counting sort.
-    const std::size_t nw = static_cast<std::size_t>(workers);
-    bucket_counts_.assign(nw * n_cells, 0);
-    const std::size_t chunk = (n_users + nw - 1) / nw;
-    for (std::size_t w = 0; w < nw; ++w) {
-      const std::size_t lo = std::min(n_users, w * chunk);
-      const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) {
-        pool->submit([this, &us, &cell_of, n_cells, w, lo, hi] {
-          std::uint32_t* counts = bucket_counts_.data() + w * n_cells;
-          for (std::size_t pos = lo; pos < hi; ++pos) {
-            const std::uint32_t c = cell_of(us.location[pos]);
-            cell_of_[pos] = c;
-            ++counts[c];
-          }
-        });
-      }
-    }
-    pool->wait_idle();
-    std::uint32_t run = 0;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      cell_start_[c] = run;
-      for (std::size_t w = 0; w < nw; ++w) {
-        std::uint32_t& slot = bucket_counts_[w * n_cells + c];
-        const std::uint32_t cnt = slot;
-        slot = run;  // becomes worker w's scatter cursor for cell c
-        run += cnt;
-      }
-    }
-    cell_start_[n_cells] = run;
-    for (std::size_t w = 0; w < nw; ++w) {
-      const std::size_t lo = std::min(n_users, w * chunk);
-      const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) {
-        pool->submit([this, n_cells, w, lo, hi] {
-          std::uint32_t* cursor = bucket_counts_.data() + w * n_cells;
-          for (std::size_t pos = lo; pos < hi; ++pos) {
-            cell_users_[cursor[cell_of_[pos]]++] =
-                static_cast<std::uint32_t>(pos);
-          }
-        });
-      }
-    }
-    pool->wait_idle();
-  } else {
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      const std::uint32_t c = cell_of(us.location[pos]);
-      cell_of_[pos] = c;
-      ++cell_start_[c + 1];
-    }
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      cell_start_[c + 1] += cell_start_[c];
-    }
-    std::vector<std::uint32_t> fill(cell_start_.begin(),
-                                    cell_start_.end() - 1);
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      cell_users_[fill[cell_of_[pos]]++] = static_cast<std::uint32_t>(pos);
+  // Two-pass bucketing: per-range cell histograms, one serial exclusive
+  // prefix over (cell-major, range-minor), then a scatter from per-range
+  // cursors. Ranges are contiguous position runs in ascending order and,
+  // within a cell, the ranges' slots follow ascending range index — so
+  // every cell's users land in ascending position order at any range
+  // count. Small rounds (and the serial path) run it as one range.
+  // (At >= 4096 users a round has at most users / 256 workers, so
+  // parallel_ranges splits into exactly bucket_workers ranges.)
+  const int bucket_workers = pool != nullptr && n_users >= 4096 ? workers : 1;
+  const auto n_ranges = static_cast<std::size_t>(bucket_workers);
+  bucket_counts_.assign(n_ranges * n_cells, 0);
+  parallel_ranges(pool, bucket_workers, n_users,
+                  [&](std::size_t r, std::size_t lo, std::size_t hi) {
+                    std::uint32_t* counts = bucket_counts_.data() + r * n_cells;
+                    for (std::size_t pos = lo; pos < hi; ++pos) {
+                      const std::uint32_t c = cell_of(us.location[pos]);
+                      cell_of_[pos] = c;
+                      ++counts[c];
+                    }
+                  });
+  std::uint32_t run = 0;
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    cell_start_[c] = run;
+    for (std::size_t r = 0; r < n_ranges; ++r) {
+      std::uint32_t& slot = bucket_counts_[r * n_cells + c];
+      const std::uint32_t cnt = slot;
+      slot = run;  // becomes range r's scatter cursor for cell c
+      run += cnt;
     }
   }
+  cell_start_[n_cells] = run;
+  parallel_ranges(pool, bucket_workers, n_users,
+                  [&](std::size_t r, std::size_t lo, std::size_t hi) {
+                    std::uint32_t* cursor = bucket_counts_.data() + r * n_cells;
+                    for (std::size_t pos = lo; pos < hi; ++pos) {
+                      cell_users_[cursor[cell_of_[pos]]++] =
+                          static_cast<std::uint32_t>(pos);
+                    }
+                  });
 
-  // --- Frozen round state: prices cached per task row (read from the
-  // mechanism's dense row table when it publishes one; else one virtual
-  // call per open task instead of one per candidate per user) and a CSR
-  // grid over the open priced tasks for reach-local candidate gathering.
-  // Grid ids index priced_rows_, which ascends with the task row.
-  const std::vector<Money>* price_rows = reward_rows_of(*mechanism_, n_tasks);
+  // --- Frozen round state: prices cached per task row (one price read per
+  // open task instead of one per candidate per user) and a CSR grid over
+  // the open priced tasks for reach-local candidate gathering. Grid ids
+  // index priced_rows_, which ascends with the task row.
   round_reward_.assign(n_tasks, 0.0);
   priced_rows_.clear();
   priced_points_.clear();
   for (std::size_t i = 0; i < n_tasks; ++i) {
     if (!open[i]) continue;
-    const Money r =
-        price_rows != nullptr ? (*price_rows)[i] : mechanism_->reward(ts.id[i]);
+    const Money r = price_of(*mechanism_, world_, i);
     if (r <= 0.0) continue;
     round_reward_[i] = r;
     priced_rows_.push_back(static_cast<std::uint32_t>(i));
@@ -728,17 +667,15 @@ void Simulator::run_round(Round k, const std::vector<bool>& open,
     // Harvest the workers' counters into the campaign aggregate. Counts are
     // summed, so the result does not depend on which worker owned which
     // cell; rounds advances once per round.
-    select::PlanMemoStats agg = plan_memo_.stats();
-    ++agg.rounds;
+    ++memo_stats_.rounds;
     for (const auto& m : cell_memos_) {
       const select::PlanMemoStats& st = m->stats();
-      agg.exact_hits += st.exact_hits;
-      agg.fixup_hits += st.fixup_hits;
-      agg.misses += st.misses;
-      agg.fallbacks += st.fallbacks;
+      memo_stats_.exact_hits += st.exact_hits;
+      memo_stats_.fixup_hits += st.fixup_hits;
+      memo_stats_.misses += st.misses;
+      memo_stats_.fallbacks += st.fallbacks;
       m->reset_stats();
     }
-    plan_memo_.restore_stats(agg);
   }
   if (timed) {
     phase_.plan += mono_seconds() - t0;
@@ -793,16 +730,9 @@ const RoundMetrics& Simulator::step() {
   // mechanisms these are exactly the prices every user of the round faces;
   // intra-round mechanisms reprice before each session, so their published
   // mean is re-recorded from the session prices below.
-  const std::vector<Money>* price_rows =
-      reward_rows_of(*mechanism_, world_.num_tasks());
   for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
     if (!open[i]) continue;
-    // Without a row snapshot, query by the task's id, not its vector
-    // position — ids need not be dense (same bug class as the
-    // DemandIndicator position/id mixup).
-    rm.mean_open_reward += price_rows != nullptr
-                               ? (*price_rows)[i]
-                               : mechanism_->reward(world_.tasks()[i].id());
+    rm.mean_open_reward += price_of(*mechanism_, world_, i);
     ++rm.open_tasks;
   }
   if (rm.open_tasks > 0) rm.mean_open_reward /= rm.open_tasks;
@@ -825,14 +755,14 @@ const RoundMetrics& Simulator::step() {
                 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
   order_rng.shuffle(visit_order);
 
-  // (3)+(4) Every user selects and performs a task set. Only the serial
-  // loop pays for the dense O(open^2) CandidatePool; the round loop gathers
-  // candidates from a spatial index.
+  // (3)+(4) Every user selects and performs a task set. The serial loop
+  // offers every open task; the round loop gathers the tasks within each
+  // user's reach from a spatial index.
   if (!intra_round && !params_.legacy_commit) {
     run_round(k, open, visit_order, pool, workers, rm);
   } else {
-    run_sessions_serial(k, open, build_round_pool(world_, *mechanism_, open),
-                        visit_order, rm, session_mean_sum, priced_sessions);
+    run_sessions_serial(k, open, visit_order, rm, session_mean_sum,
+                        priced_sessions);
   }
 
   // For intra-round mechanisms the round-start snapshot is not what users
@@ -874,7 +804,7 @@ CampaignMetrics Simulator::summary() const {
     m.withdrawn_task_rounds += rm.withdrawn_tasks;
     m.wasted_travel += rm.wasted_travel;
   }
-  const select::PlanMemoStats& memo = plan_memo_.stats();
+  const select::PlanMemoStats& memo = memo_stats_;
   m.plan_exact_hits = memo.exact_hits;
   m.plan_fixup_hits = memo.fixup_hits;
   m.plan_misses = memo.misses;
@@ -900,7 +830,7 @@ CampaignCheckpoint Simulator::checkpoint() const {
   c.budget_comp = budget_.compensation();
   c.history = history_;
   c.events = events_.events();
-  c.memo_stats = plan_memo_.stats();
+  c.memo_stats = memo_stats_;
   c.phase_prepass_s = phase_.prepass;
   c.phase_plan_s = phase_.plan;
   c.phase_reprice_s = phase_.reprice;
@@ -944,7 +874,7 @@ Simulator Simulator::resume(
   s.events_.restore(ckpt.events);
   s.history_ = ckpt.history;
   s.next_round_ = ckpt.next_round;
-  s.plan_memo_.restore_stats(ckpt.memo_stats);
+  s.memo_stats_ = ckpt.memo_stats;
   s.phase_.prepass = ckpt.phase_prepass_s;
   s.phase_.plan = ckpt.phase_plan_s;
   s.phase_.reprice = ckpt.phase_reprice_s;

@@ -116,9 +116,7 @@ class Simulator {
   const incentive::BudgetTracker& budget() const { return budget_; }
   const EventLog& events() const { return events_; }
   /// Cumulative plan-memo accounting (all zero unless params.memo.enabled).
-  const select::PlanMemoStats& plan_memo_stats() const {
-    return plan_memo_.stats();
-  }
+  const select::PlanMemoStats& plan_memo_stats() const { return memo_stats_; }
 
   /// Summary of the current state (usable mid-campaign too).
   CampaignMetrics summary() const;
@@ -164,11 +162,10 @@ class Simulator {
   /// session (dirty set = tasks the previous session touched) and record
   /// the session prices. Serves intra-round mechanisms and the
   /// legacy_commit reference.
-  void run_sessions_serial(
-      Round k, const std::vector<bool>& open,
-      const std::shared_ptr<const select::CandidatePool>& pool,
-      const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
-      double& session_mean_sum, int& priced_sessions);
+  void run_sessions_serial(Round k, const std::vector<bool>& open,
+                           const std::vector<std::uint32_t>& visit_order,
+                           RoundMetrics& rm, double& session_mean_sum,
+                           int& priced_sessions);
 
   /// The round loop for round-granularity mechanisms: a parallel pre-pass
   /// (mobility from per-user substreams, dropout), users bucketed by spatial
@@ -230,7 +227,7 @@ class Simulator {
   std::vector<std::unique_ptr<select::TaskSelector>> plan_selectors_;
   // Campaign-cumulative plan-memo stats, harvested from the per-worker cell
   // tables each round.
-  select::PlanMemo plan_memo_;
+  select::PlanMemoStats memo_stats_;
   // Round-loop state: one PlanMemo per worker (tables are per-cell) plus
   // persistent scratch so the steady state stays allocation-free.
   std::vector<std::unique_ptr<select::PlanMemo>> cell_memos_;

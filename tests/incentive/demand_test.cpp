@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "incentive/demand_level.h"
 
 namespace mcs::incentive {
@@ -346,47 +345,6 @@ TEST(DemandIndicator, FusedNormalizeMatchesTwoPassBitExact) {
     std::vector<double> fused;
     indicator.normalized_demands_into(world, k, counts, fused);
     EXPECT_EQ(fused, two_pass) << "round " << k;
-  }
-}
-
-// The sharded sweeps (demands_into / normalized_demands_into / levels_into)
-// must be bit-identical to the serial path at any worker count, both when
-// Nmax is supplied and when the kScanForMax reduction derives it.
-TEST(DemandIndicator, ShardedSweepsBitIdenticalAtAnyWorkerCount) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  const DemandLevelScale scale(5);
-  model::World world(geo::BoundingBox::square(5000.0), geo::TravelModel{},
-                     100.0);
-  std::vector<int> counts;
-  for (int i = 0; i < 57; ++i) {  // odd count: uneven range boundaries
-    world.add_task({100.0 + 50.0 * i, 200.0}, /*deadline=*/8,
-                   /*required=*/3 + (i % 4));
-    if (i % 3 == 0) world.task(i).add_measurement(0, 1, 0.5);
-    counts.push_back(i % 7);
-  }
-  std::vector<double> serial_d;
-  indicator.demands_into(world, 2, counts, DemandIndicator::kScanForMax,
-                         serial_d);
-  std::vector<double> serial_nd;
-  indicator.normalized_demands_into(world, 2, counts, /*max_neighbors=*/6,
-                                    serial_nd);
-  std::vector<int> serial_lv;
-  scale.levels_into(serial_nd, serial_lv);
-
-  for (const int workers : {2, 8}) {
-    SCOPED_TRACE(workers);
-    ThreadPool pool(workers);
-    std::vector<double> d;
-    indicator.demands_into(world, 2, counts, DemandIndicator::kScanForMax, d,
-                           &pool, workers);
-    EXPECT_EQ(d, serial_d);
-    std::vector<double> nd;
-    indicator.normalized_demands_into(world, 2, counts, /*max_neighbors=*/6,
-                                      nd, &pool, workers);
-    EXPECT_EQ(nd, serial_nd);
-    std::vector<int> lv;
-    scale.levels_into(nd, lv, &pool, workers);
-    EXPECT_EQ(lv, serial_lv);
   }
 }
 

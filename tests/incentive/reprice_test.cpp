@@ -1,9 +1,9 @@
-// The incremental reprice() contract (mechanism.h): after reprice() the
-// mechanism's rewards must be bit-identical to a full update_rewards()
-// against the same world. These unit tests drive the on-demand and steered
-// dirty paths directly — measurement deltas, user moves picked up through
-// the neighbor-count diff, and the Nmax-change full-recompute fallback —
-// against a freshly built mechanism as the oracle.
+// The reprice() contract (mechanism.h): after reprice() the mechanism's
+// rewards must be bit-identical to a full update_rewards() against the same
+// world. On-demand reprices with the base class's full recompute; steered
+// has an O(dirty) path. These unit tests drive both through measurement
+// deltas, user moves, Nmax changes and cache rebuilds against a freshly
+// built mechanism as the oracle.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -78,8 +78,8 @@ TEST(OnDemandReprice, UserMovePickedUpViaNeighborCountDiff) {
   m.update_rewards(w, 1);
 
   // User 2 walks from task 1's disc to task 2's: counts go {2,1,0} ->
-  // {2,0,1} while Nmax stays 2. No dirty tasks at all — the diff against
-  // the cached per-task counts must reprice tasks 1 and 2 on its own.
+  // {2,0,1} while Nmax stays 2. No dirty tasks at all — the synced
+  // neighbor counts alone must reprice tasks 1 and 2.
   w.users()[2].set_location({1500.0, 320.0});
   m.reprice(w, 1, {});
   expect_matches_full(m, w, 1);
@@ -115,68 +115,15 @@ TEST(OnDemandReprice, RepriceBeforeAnyPublishIsAFullRecompute) {
   expect_matches_full(m, w, 1);
 }
 
-// The O(dirty) contract: the fast path must reprice exactly the dirty set
-// plus the journaled count changes — never the whole task set — and the
-// fallbacks must report full-width work. last_reprice_touched() pins it.
-TEST(OnDemandReprice, FastPathTouchesOnlyDirtyAndJournaledPositions) {
-  model::World w = make_world();
-  OnDemandMechanism m = make_on_demand();
-  m.update_rewards(w, 1);
-
-  // Nothing changed: the fast path does zero repricing work.
-  m.reprice(w, 1, {});
-  EXPECT_EQ(m.last_reprice_touched(), 0u);
-
-  // User 2 walks from task 1's disc to task 2's (Nmax stays 2) and task 0
-  // gains a measurement: exactly positions {0} ∪ {1, 2} are repriced.
-  w.users()[2].set_location({1500.0, 320.0});
-  w.tasks()[0].add_measurement(UserId{7}, 1, 1.0);
-  m.reprice(w, 1, {0});
-  EXPECT_EQ(m.last_reprice_touched(), 3u);
-  expect_matches_full(m, w, 1);
-}
-
-TEST(OnDemandReprice, NmaxFallbackReportsFullWidthWork) {
-  model::World w = make_world();
-  OnDemandMechanism m = make_on_demand();
-  m.update_rewards(w, 1);
-
-  // User 2 joins task 0's disc: Nmax 2 -> 3, full recompute.
-  w.users()[2].set_location({300.0, 300.0});
-  m.reprice(w, 1, {});
-  EXPECT_EQ(m.last_reprice_touched(), w.num_tasks());
-  expect_matches_full(m, w, 1);
-}
-
 TEST(OnDemandReprice, CacheRebuildFallsBackToFullRecompute) {
   model::World w = make_world();
   OnDemandMechanism m = make_on_demand();
   m.update_rewards(w, 1);
 
-  // Growing the population rebuilds the neighbor cache: there is no
-  // per-position delta to replay, so reprice must recompute in full (the
-  // new user lands in task 2's empty disc, so Nmax alone would not
-  // catch it).
+  // Growing the population rebuilds the neighbor cache; the new user lands
+  // in task 2's empty disc, so Nmax alone would not reveal the change.
   w.add_user({1500.0, 320.0}, 600.0);
   m.reprice(w, 1, {});
-  EXPECT_EQ(m.last_reprice_touched(), w.num_tasks());
-  expect_matches_full(m, w, 1);
-}
-
-TEST(OnDemandReprice, ConsecutiveFastPathsEachConsumeTheirOwnDelta) {
-  model::World w = make_world();
-  OnDemandMechanism m = make_on_demand();
-  m.update_rewards(w, 1);
-
-  // Two fast-path reprices in a row, each after one move that keeps
-  // Nmax at 2: each must see only its own journal slice.
-  w.users()[2].set_location({1500.0, 320.0});  // task 1 -> task 2
-  m.reprice(w, 1, {});
-  EXPECT_EQ(m.last_reprice_touched(), 2u);
-
-  w.users()[2].set_location({900.0, 320.0});  // back: task 2 -> task 1
-  m.reprice(w, 1, {});
-  EXPECT_EQ(m.last_reprice_touched(), 2u);
   expect_matches_full(m, w, 1);
 }
 
@@ -201,8 +148,8 @@ TEST(OnDemandReprice, ShardedUpdateMatchesSerialBitForBit) {
 
 TEST(OnDemandReprice, SparseTaskIdsPriceByPosition) {
   // Worlds assembled through the mutable tasks() accessor may carry
-  // arbitrary (non-dense) ids. The mechanism's whole pipeline — publish,
-  // dirty reprice, journal replay — is position-indexed, so sparse ids must
+  // arbitrary (non-dense) ids. The mechanism's whole pipeline — publish and
+  // reprice — is position-indexed, so sparse ids must
   // price exactly like the dense world with the same geometry.
   model::World w(geo::BoundingBox::square(3000.0), geo::TravelModel{}, 500.0);
   w.tasks().emplace_back(TaskId{40}, geo::Point{300.0, 300.0}, Round{8}, 4);
@@ -227,7 +174,7 @@ TEST(OnDemandReprice, SparseTaskIdsPriceByPosition) {
   ASSERT_NE(m.reward_rows(), nullptr);
   EXPECT_EQ(*m.reward_rows(), m.rewards());
 
-  // Dirty reprice stays position-indexed too.
+  // Reprice stays position-indexed too.
   w.tasks()[1].add_measurement(UserId{5}, 1, 1.0);
   m.reprice(w, 1, {1});
   expect_matches_full(m, w, 1);

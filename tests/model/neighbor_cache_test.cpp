@@ -101,56 +101,18 @@ TEST(NeighborCache, RunningMaxMatchesMaxElementAcrossRandomMoves) {
           rng.uniform_int(0, static_cast<int>(w.num_users()) - 1));
       w.users()[who].set_location(random_point(rng, side));
     }
+    // The one-sync snapshot the mechanisms price from carries the same
+    // counts and max as the separate accessors.
+    const World::NeighborSnapshot nb = w.neighbor_snapshot();
+    EXPECT_EQ(*nb.counts, brute_force_counts(w)) << "iter " << iter;
+    EXPECT_EQ(nb.max_count,
+              *std::max_element(nb.counts->begin(), nb.counts->end()))
+        << "iter " << iter;
     const std::vector<int>& counts = w.neighbor_counts();
     EXPECT_EQ(w.neighbor_max_count(),
               *std::max_element(counts.begin(), counts.end()))
         << "iter " << iter;
   }
-}
-
-TEST(NeighborCache, ChangeJournalReportsExactlyTheTouchedTasks) {
-  World w(geo::BoundingBox::square(3000.0), geo::TravelModel{}, 500.0);
-  w.add_task({300.0, 300.0}, 10, 5);
-  w.add_task({900.0, 300.0}, 10, 5);
-  w.add_task({1500.0, 300.0}, 10, 5);
-  w.add_user({300.0, 320.0}, 600.0);
-  w.add_user({900.0, 320.0}, 600.0);
-
-  // First take after construction: a rebuild, no delta to replay.
-  model::World::NeighborDelta d = w.take_neighbor_changes();
-  EXPECT_TRUE(d.rebuilt);
-
-  // No movement: an empty, non-rebuilt delta.
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  ASSERT_NE(d.changed, nullptr);
-  EXPECT_TRUE(d.changed->empty());
-
-  // User 0 walks from task 0's disc to task 2's: exactly {0, 2} touched.
-  w.users()[0].set_location({1500.0, 320.0});
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  std::vector<std::size_t> touched(*d.changed);
-  std::sort(touched.begin(), touched.end());
-  EXPECT_EQ(touched, (std::vector<std::size_t>{0, 2}));
-
-  // A round trip within one sync window is journaled (first-touch, not
-  // net-change): consumers recompute from the current count, so the
-  // net-zero entry is redundant but never wrong.
-  w.users()[0].set_location({300.0, 320.0});
-  (void)w.neighbor_counts();  // sync: leaves 2, enters 0
-  w.users()[0].set_location({1500.0, 320.0});
-  (void)w.neighbor_counts();  // sync: leaves 0, enters 2
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  touched.assign(d.changed->begin(), d.changed->end());
-  std::sort(touched.begin(), touched.end());
-  EXPECT_EQ(touched, (std::vector<std::size_t>{0, 2}));
-
-  // Growth rebuilds the cache; the journal must say so.
-  w.add_user({900.0, 280.0}, 600.0);
-  d = w.take_neighbor_changes();
-  EXPECT_TRUE(d.rebuilt);
 }
 
 TEST(NeighborCache, ZeroRadiusAndCoincidentPoints) {

@@ -250,6 +250,35 @@ TEST(CheckpointResume, PayloadWithoutPhaseSecondsDecodesWithZeros) {
   EXPECT_EQ(back.next_round, 2);
 }
 
+// Older on-demand payloads also carry the bookkeeping of a since-removed
+// incremental reprice (last_max_neighbors, last_round, published). Such a
+// checkpoint must still decode, and the resumed campaign must stay
+// bit-identical to the uninterrupted one.
+TEST(CheckpointResume, OnDemandPayloadWithRepriceBookkeepingResumes) {
+  const auto kind = incentive::MechanismKind::kOnDemand;
+  const CampaignRun straight = run_straight(kind, true, 1, false);
+
+  std::optional<Simulator> s(make_simulator(kind, true, 1, false));
+  s->step();
+  s->step();
+  Json j = checkpoint_to_json(s->checkpoint());
+  Json::Object o = j.as_object();
+  Json::Object state = o.at("mechanism_state").as_object();
+  ASSERT_EQ(state.count("last_max_neighbors"), 0u);
+  state["last_max_neighbors"] = Json(s->world().neighbor_max_count());
+  state["last_round"] = Json(s->current_round());
+  state["published"] = Json(true);
+  o["mechanism_state"] = Json(std::move(state));
+  const std::string bytes =
+      encode_checkpoint(checkpoint_from_json(Json(std::move(o))));
+  s.reset();
+  s.emplace(Simulator::resume(
+      decode_checkpoint(bytes), fresh_mechanism(kind),
+      select::make_selector(select::SelectorKind::kDp, 14)));
+  s->run();
+  expect_bit_identical(straight, finish(*s));
+}
+
 TEST(CheckpointResume, MechanismNameMismatchRejected) {
   Simulator s = make_simulator(incentive::MechanismKind::kOnDemand, false, 1,
                                false);

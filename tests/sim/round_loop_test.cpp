@@ -566,6 +566,7 @@ struct LargeKnobs {
   int shards = 0;
   int reprice_threads = 1;
   bool uncloneable = false;
+  int num_users = 2100;
 };
 
 std::string trace_of(const LargeKnobs& k) {
@@ -576,7 +577,7 @@ std::string trace_of(const LargeKnobs& k) {
 
 CampaignRun run_large(const LargeKnobs& k) {
   ScenarioParams p;
-  p.num_users = 2100;
+  p.num_users = k.num_users;
   p.num_tasks = 150;
   p.area_side = 4400.0;
   p.required_measurements = 6;
@@ -671,6 +672,24 @@ TEST(RoundLoop, LargeWorldReproducesGoldenDigestsAtAnyWorkerCount) {
   for (const auto mobility :
        {MobilityKind::kStaticHome, MobilityKind::kGaussianDrift}) {
     expect_large_golden(mobility, /*memo=*/false);
+  }
+}
+
+// From 4,096 users on, the round's CSR bucketing splits over the workers
+// (per-range cell histograms, a cell-major prefix, per-range scatter);
+// smaller rounds run the same passes as one range. Either way every cell
+// must list its users in ascending position, so a campaign above the
+// threshold is bit-identical at any worker count.
+TEST(ShardEquivalence, ParallelBucketingMatchesSingleRange) {
+  LargeKnobs k;
+  k.num_users = 4200;
+  k.mech = Mech::kFixed;
+  k.mobility = MobilityKind::kGaussianDrift;
+  const CampaignRun serial = run_large(k);
+  for (const int workers : {2, 8}) {
+    k.plan_threads = workers;
+    SCOPED_TRACE(trace_of(k));
+    expect_bit_identical(serial, run_large(k));
   }
 }
 
@@ -770,25 +789,26 @@ TEST(ShardEquivalence, SelectorWithoutCloneFallsBackToLegacyLoop) {
 
 // --- Sparse ids ------------------------------------------------------------
 
-// Sparse user ids {70, 10, 55}: every piece of round bookkeeping (cell
-// scatter, substream seeding, profit rows, dropped flags, the buffered
-// walk) must index by *position*, never by id. Task ids stay dense — the
-// incentive layer sizes its reward table by task count but indexes it by
-// id, a repo-wide convention for campaigns.
-Simulator make_sparse_simulator(bool legacy_commit, int plan_threads,
-                                bool faults) {
+// Sparse task ids {10, 20, 31} and user ids {70, 10, 55}: every piece of
+// round bookkeeping (cell scatter, substream seeding, profit rows, dropped
+// flags, the buffered walk) must index by *position*, and every price read
+// (open-task scan, instances, session commit, round metrics) must go by
+// task row, never by id.
+Simulator make_sparse_simulator(
+    bool legacy_commit, int plan_threads, bool faults,
+    incentive::MechanismKind kind = incentive::MechanismKind::kOnDemand) {
   geo::BoundingBox area{{0.0, 0.0}, {1000.0, 1000.0}};
   model::World world(area, geo::TravelModel{2.0, 0.002}, 500.0);
-  world.add_task({100.0, 100.0}, /*deadline=*/5, /*required=*/2);
-  world.add_task({900.0, 900.0}, 5, 2);
-  world.add_task({500.0, 480.0}, 5, 2);
+  world.tasks().emplace_back(TaskId{10}, geo::Point{100.0, 100.0},
+                             /*deadline=*/5, /*required=*/2);
+  world.tasks().emplace_back(TaskId{20}, geo::Point{900.0, 900.0}, 5, 2);
+  world.tasks().emplace_back(TaskId{31}, geo::Point{500.0, 480.0}, 5, 2);
   world.users().emplace_back(UserId{70}, geo::Point{120.0, 120.0}, 900.0);
   world.users().emplace_back(UserId{10}, geo::Point{880.0, 880.0}, 900.0);
   world.users().emplace_back(UserId{55}, geo::Point{500.0, 500.0}, 900.0);
   for (model::User& u : world.users()) u.return_home();
   Rng mech_rng(1);
-  auto mech = incentive::make_mechanism(incentive::MechanismKind::kOnDemand,
-                                        world, {}, mech_rng);
+  auto mech = incentive::make_mechanism(kind, world, {}, mech_rng);
   SimulatorParams sp;
   sp.max_rounds = 4;
   sp.legacy_commit = legacy_commit;
@@ -837,6 +857,24 @@ TEST(CommitEquivalence, SparseUserIdsBufferedMatchesLegacy) {
   const CampaignRun reference = run_sparse(true, 1, true);
   EXPECT_GT(reference.spent_raw, 0.0);
   expect_bit_identical(reference, run_sparse(false, 1, true));
+}
+
+// Steered reprices between sessions in the serial loop, whose session
+// commit and session-price mean read prices per task: on sparse task ids
+// the campaign must run to completion and pay exactly what the world
+// recorded as delivered.
+TEST(CommitEquivalence, SteeredSparseIdsRunToCompletion) {
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults" : "clean");
+    Simulator s = make_sparse_simulator(false, 1, faults,
+                                        incentive::MechanismKind::kSteered);
+    s.run();
+    EXPECT_GT(s.world().total_received(), 0);
+    EXPECT_DOUBLE_EQ(s.budget().spent(), s.world().total_paid());
+    for (const RoundMetrics& rm : s.history()) {
+      EXPECT_GT(rm.mean_open_reward, 0.0) << "round " << rm.round;
+    }
+  }
 }
 
 // Sparse task AND user ids through the SoA stores and the checkpoint's

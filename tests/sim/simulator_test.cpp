@@ -5,10 +5,8 @@
 #include <set>
 
 #include "common/error.h"
-#include "geo/distance.h"
 #include "incentive/fixed_mechanism.h"
 #include "incentive/on_demand_mechanism.h"
-#include "select/candidate_pool.h"
 #include "select/selector.h"
 #include "sim/scenario.h"
 
@@ -269,27 +267,54 @@ TEST(Simulator, RoundMetricsIndexRewardsByTaskIdNotPosition) {
   EXPECT_DOUBLE_EQ(s.world().task(20).measurements()[0].reward_paid, 3.0);
 }
 
-TEST(Simulator, PeekInstancesShareRoundPool) {
-  // Every instance of a round points at one shared CandidatePool whose
-  // distance block matches a direct recomputation.
-  Simulator s = make_sim(tiny_world());
+TEST(Simulator, PeekInstancesOfferOpenPricedUncontributedTasksInRowOrder) {
+  // The serial reference offers every open task (no reach filter): each
+  // peeked instance must hold exactly the tasks that are neither completed
+  // nor expired, carry a positive published price and have not been
+  // contributed to by that user — in task-row order, at the published
+  // price.
+  model::World w(geo::BoundingBox::square(1000.0), geo::TravelModel{}, 200.0);
+  w.add_task({100, 0}, 5, 5);    // near every home; stays open
+  w.add_task({900, 900}, 5, 2);  // far corner
+  w.add_task({0, 100}, 1, 1);    // past its deadline from round 2 on
+  w.add_task({60, 60}, 5, 2);
+  w.add_user({0, 0}, 600.0);
+  w.add_user({50, 0}, 600.0);
+  w.add_user({0, 50}, 600.0);
+  Simulator s = make_sim(std::move(w));
+  s.step();
+  const Round k = s.current_round() + 1;
   const auto instances = s.peek_instances();
-  ASSERT_EQ(instances.size(), 3u);
-  const auto& pool = instances[0].pool;
-  ASSERT_NE(pool, nullptr);
-  for (const auto& inst : instances) {
-    EXPECT_EQ(inst.pool.get(), pool.get());
-    ASSERT_TRUE(inst.has_pool());
-    for (std::size_t i = 0; i < inst.candidates.size(); ++i) {
-      const auto row = static_cast<std::size_t>(inst.pool_index[i]);
-      EXPECT_EQ(pool->candidates()[row].task, inst.candidates[i].task);
-      for (std::size_t j = 0; j < inst.candidates.size(); ++j) {
-        EXPECT_EQ(pool->dist(row, static_cast<std::size_t>(inst.pool_index[j])),
-                  geo::euclidean(inst.candidates[i].location,
-                                 inst.candidates[j].location));
+  const model::World& world = s.world();
+  const std::vector<Money>& rewards = s.mechanism().rewards();
+  ASSERT_TRUE(world.tasks()[2].expired_at(k));
+  ASSERT_EQ(instances.size(), world.num_users());
+  std::size_t contributed = 0;
+  for (std::size_t p = 0; p < world.num_users(); ++p) {
+    const model::User& u = world.users()[p];
+    std::vector<TaskId> want;
+    for (std::size_t i = 0; i < world.num_tasks(); ++i) {
+      const model::Task& t = world.tasks()[i];
+      if (t.completed() || t.expired_at(k) || rewards[i] <= 0.0) continue;
+      if (t.has_contributed(u.id())) {
+        ++contributed;
+        continue;
       }
+      want.push_back(t.id());
     }
+    const select::SelectionInstance& inst = instances[p];
+    EXPECT_EQ(inst.start, u.home());
+    EXPECT_EQ(inst.time_budget, u.time_budget());
+    std::vector<TaskId> got;
+    for (const select::Candidate& c : inst.candidates) {
+      got.push_back(c.task);
+      const auto row = static_cast<std::size_t>(c.task);  // dense ids
+      EXPECT_EQ(c.reward, rewards[row]);
+      EXPECT_EQ(c.location, world.tasks()[row].location());
+    }
+    EXPECT_EQ(got, want) << "user position " << p;
   }
+  EXPECT_GT(contributed, 0u);  // the contributed filter was exercised
 }
 
 }  // namespace

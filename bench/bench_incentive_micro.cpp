@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "ahp/comparison_matrix.h"
 #include "ahp/weights.h"
@@ -84,6 +86,40 @@ void BM_NeighborCounts(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(world.neighbor_counts());
   }
+}
+
+// The neighbor cache's delta sync: every iteration moves a seeded 10% of
+// the users to fresh random points, then syncs the counts. The moves are
+// drawn up front (kBatches rotating batches) so the timed loop is the
+// location writes plus the sync, not the RNG. Args: users, tasks.
+void BM_NeighborSync(benchmark::State& state) {
+  sim::ScenarioParams params;
+  params.num_users = static_cast<int>(state.range(0));
+  params.num_tasks = static_cast<int>(state.range(1));
+  Rng rng(7);
+  model::World world = sim::generate_world(params, rng);
+  constexpr std::size_t kBatches = 8;
+  const std::size_t moved = world.num_users() / 10;
+  std::vector<std::vector<std::pair<std::size_t, geo::Point>>> batches(
+      kBatches);
+  for (auto& batch : batches) {
+    for (std::size_t m = 0; m < moved; ++m) {
+      const auto who = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(world.num_users()) - 1));
+      batch.emplace_back(who, geo::Point{rng.uniform(0.0, params.area_side),
+                                         rng.uniform(0.0, params.area_side)});
+    }
+  }
+  benchmark::DoNotOptimize(world.neighbor_counts().data());  // build the grid
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (const auto& [who, to] : batches[next]) {
+      world.users()[who].set_location(to);
+    }
+    next = (next + 1) % kBatches;
+    benchmark::DoNotOptimize(world.neighbor_counts().data());
+  }
+  state.counters["moved_users"] = static_cast<double>(moved);
 }
 
 // Steady-state on-demand repricing across rounds: after the first round
@@ -172,6 +208,10 @@ BENCHMARK(BM_AhpRowAverage)->Arg(3)->Arg(8)->Arg(15);
 BENCHMARK(BM_AhpEigenvector)->Arg(3)->Arg(8)->Arg(15);
 BENCHMARK(BM_DemandEvaluation)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_NeighborCounts)->Arg(40)->Arg(140)->Arg(1000);
+BENCHMARK(BM_NeighborSync)
+    ->Args({1000, 20})
+    ->Args({10000, 200})
+    ->Args({100000, 2000});
 BENCHMARK(BM_UpdateRewardsSteadyState)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_RepriceDirtySession)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_FullRound)->Arg(40)->Arg(100)->Arg(140);

@@ -8,6 +8,11 @@
 // extension points a downstream user touches: IncentiveMechanism and the
 // Simulator.
 //
+// The one rule a mechanism must keep: update_rewards() fills `rewards_`
+// with one price per task *row*, so rewards_[i] prices world.tasks()[i]
+// whatever the task ids are (0 = not on offer). The simulator reads the
+// table by row and rejects a publish of any other size.
+//
 //   ./custom_mechanism [--users=100] [--reps=10] [--seed=5]
 #include <cmath>
 #include <iostream>

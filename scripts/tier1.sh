@@ -4,10 +4,11 @@
 #   2. the concurrency-sensitive suites — thread pool, parallel runner
 #      determinism, simulator — rebuilt and rerun under ThreadSanitizer so
 #      data races in the pool or the repetition merge path fail loudly, then
-#   3. the fault-injection and failure-recovery suites rebuilt and rerun
-#      under ASan+UBSan (abandoned-tour prefix walks, runner retry paths and
-#      event-trace bookkeeping are exactly where an off-by-one would hide),
-#      then
+#   3. the fault-injection and failure-recovery suites, plus the neighbor
+#      cache and World suites, rebuilt and rerun under ASan+UBSan
+#      (abandoned-tour prefix walks, runner retry paths, event-trace
+#      bookkeeping and the cache's indexed ±1 count sync are exactly where
+#      an off-by-one would hide), then
 #   4. a Release (-O3, NDEBUG) stage: the selector-equivalence suites rerun
 #      at the optimization level performance numbers are quoted at (the DP
 #      bound-prune and fused scan are exactly the code whose floating-point
@@ -76,15 +77,19 @@ if [[ "${SKIP_ASAN}" == "1" ]]; then
   echo "tier1: skipping ASan+UBSan stage"
 else
   cmake -B build-asan -S . -DMCS_ASAN=ON
-  cmake --build build-asan -j "${JOBS}" --target test_sim test_integration
+  cmake --build build-asan -j "${JOBS}" --target test_sim test_integration \
+    test_model
   # Checkpoint* picks up the envelope/writer suites, the corruption fuzzers,
   # the resume-equivalence matrix, the RunnerCheckpoint recovery tests and
   # the fork-based CheckpointCrash kill-mid-write harness (unless
   # --skip-crash); decode and the directory-fallback walk are exactly the
-  # code that must never read past a truncated buffer.
+  # code that must never read past a truncated buffer. NeighborCache and
+  # World cover the neighbor cache's delta sync, which adds ±1 straight
+  # into the per-task counts by grid-reported task index: an out-of-range
+  # index there would corrupt memory silently.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld' \
+    -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|NeighborCache|World' \
     "${CRASH_EXCLUDE[@]}"
 fi
 

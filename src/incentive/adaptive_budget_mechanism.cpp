@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace mcs::incentive {
 
@@ -11,12 +10,10 @@ AdaptiveBudgetMechanism::AdaptiveBudgetMechanism(DemandIndicator indicator,
                                                  DemandLevelScale scale,
                                                  Money budget, Money lambda,
                                                  Money r0_cap_factor)
-    : indicator_(std::move(indicator)),
-      scale_(scale),
+    : DemandPricedMechanism(std::move(indicator), scale),
       budget_(budget),
       lambda_(lambda),
       r0_cap_factor_(r0_cap_factor) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
   MCS_CHECK(budget > 0.0, "budget must be positive");
   MCS_CHECK(lambda >= 0.0, "lambda must be non-negative");
   MCS_CHECK(r0_cap_factor >= 1.0, "r0 cap factor must be at least 1");
@@ -58,38 +55,9 @@ void AdaptiveBudgetMechanism::update_rewards(const model::World& world,
   r0 = std::clamp(r0, initial_r0_, initial_r0_ * r0_cap_factor_);
   rule_ = std::make_unique<RewardRule>(r0, lambda_, scale_.levels());
 
-  // Counts and running Nmax from one cache sync, then one fused
-  // demand/level/reward sweep over the store columns, fanned over the
-  // reprice workers in disjoint task-row ranges: each row writes only its
-  // own slots, so any worker count is bit-identical. last_demands_ and
-  // last_levels_ are scratch (recomputed every round, never read across
-  // rounds), hence not part of the checkpoint state.
-  const model::World::NeighborSnapshot nb = world.neighbor_snapshot();
-  const std::vector<int>& counts = *nb.counts;
-  MCS_CHECK(counts.size() == n, "one neighbor count per task");
-  last_demands_.resize(n);
-  last_levels_.resize(n);
-  rewards_.resize(n);
-  const RewardRule& rule = *rule_;
-  parallel_ranges(
-      reprice_pool_, reprice_workers_, n,
-      [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const int received = static_cast<int>(ts.measurements[i].size());
-          const double d = indicator_.normalize(indicator_.demand_from_fields(
-              ts.deadline[i], ts.required[i], received, k, counts[i],
-              nb.max_count));
-          last_demands_[i] = d;
-          last_levels_[i] = scale_.level(d);
-          // Affordability guard: stop publishing rewards the remaining
-          // budget cannot honor for the task's missing measurements.
-          const bool withdrawn =
-              received >= ts.required[i] || k > ts.deadline[i];
-          rewards_[i] = (withdrawn || remaining <= 0.0)
-                            ? 0.0
-                            : rule.reward(last_levels_[i]);
-        }
-      });
+  // Affordability guard: with the budget spent, publish nothing the
+  // remaining budget cannot honor.
+  price_rows(world, k, *rule_, /*publish=*/remaining > 0.0);
 }
 
 Json AdaptiveBudgetMechanism::state_to_json() const {

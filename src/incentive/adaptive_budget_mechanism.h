@@ -12,14 +12,13 @@
 // Everything else (demand indicator, levels) is the on-demand mechanism.
 #pragma once
 
-#include "incentive/demand.h"
-#include "incentive/demand_level.h"
-#include "incentive/mechanism.h"
-#include "incentive/reward.h"
+#include <memory>
+
+#include "incentive/on_demand_mechanism.h"
 
 namespace mcs::incentive {
 
-class AdaptiveBudgetMechanism final : public IncentiveMechanism {
+class AdaptiveBudgetMechanism final : public DemandPricedMechanism {
  public:
   /// `budget` is the total platform budget B; `lambda`/`levels` as in
   /// Eq. 7. `r0_cap` bounds how far the base reward may escalate when only
@@ -37,23 +36,18 @@ class AdaptiveBudgetMechanism final : public IncentiveMechanism {
 
   /// Checkpoint state: the lazily computed initial r0 anchor and, once an
   /// update has run, the current rule's r0 (lambda and levels are
-  /// construction parameters, so the rule is rebuilt from r0 alone).
+  /// construction parameters, so the rule is rebuilt from r0 alone). The
+  /// demand/level introspection buffers are recomputed by every update and
+  /// are not checkpointed.
   Json state_to_json() const override;
   void restore_state(const Json& state) override;
 
  private:
-  DemandIndicator indicator_;
-  DemandLevelScale scale_;
   Money budget_;
   Money lambda_;
   Money r0_cap_factor_;
   Money initial_r0_ = 0.0;        // computed lazily at the first update
   std::unique_ptr<RewardRule> rule_;
-  // Scratch for the fused update sweep: fully recomputed every update, so
-  // reused only to keep steady-state repricing allocation-free. Not
-  // checkpoint state (nothing reads them across rounds).
-  std::vector<double> last_demands_;
-  std::vector<int> last_levels_;
 };
 
 }  // namespace mcs::incentive

@@ -7,16 +7,6 @@
 
 namespace mcs::incentive {
 
-namespace {
-
-// Nmax of counts the caller did not take from the neighbor cache (0 for an
-// empty task set; counts are non-negative by contract).
-int max_count_of(const std::vector<int>& counts) {
-  return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
-}
-
-}  // namespace
-
 double DemandParams::lambda_max() const {
   return std::max({lambda1, lambda2, lambda3});
 }
@@ -96,58 +86,19 @@ double DemandIndicator::demand(const model::Task& task, Round k, int neighbors,
 
 std::vector<double> DemandIndicator::demands(const model::World& world,
                                              Round k) const {
-  // neighbor_counts() is one entry per task *position*; index by position
-  // (task ids need not be dense or equal to their vector index). The cache
-  // maintains the running max alongside the counts, so no Nmax scan here.
-  const model::World::NeighborSnapshot nb = world.neighbor_snapshot();
-  std::vector<double> out;
-  demands_into(world, k, *nb.counts, nb.max_count, out);
-  return out;
-}
-
-std::vector<double> DemandIndicator::demands(
-    const model::World& world, Round k,
-    const std::vector<int>& neighbor_counts) const {
-  std::vector<double> out;
-  demands_into(world, k, neighbor_counts, out);
-  return out;
-}
-
-void DemandIndicator::demands_into(const model::World& world, Round k,
-                                   const std::vector<int>& neighbor_counts,
-                                   std::vector<double>& out) const {
-  // Standalone-caller fallback: the counts need not come from the world's
-  // neighbor cache, so Nmax is derived from them by scanning.
-  demands_into(world, k, neighbor_counts, max_count_of(neighbor_counts), out);
-}
-
-void DemandIndicator::demands_into(const model::World& world, Round k,
-                                   const std::vector<int>& neighbor_counts,
-                                   int max_neighbors,
-                                   std::vector<double>& out) const {
-  sweep_into(world, k, neighbor_counts, max_neighbors, /*normalized=*/false,
-             out);
-}
-
-void DemandIndicator::sweep_into(const model::World& world, Round k,
-                                 const std::vector<int>& neighbor_counts,
-                                 int max_neighbors, bool normalized,
-                                 std::vector<double>& out) const {
-  MCS_CHECK(neighbor_counts.size() == world.num_tasks(),
-            "one neighbor count per task");
-  // One cache-friendly sweep over the store columns instead of a Task view
-  // per row: deadline/required stream as packed lines, and only the
-  // measurement-vector size is read per task. Identical expression to
-  // demand() by construction (shared demand_from_fields core).
+  // neighbor_counts() is one entry per task *row*; index by row (task ids
+  // need not be dense or equal to their vector index).
+  const std::vector<int>& counts = world.neighbor_counts();
+  const int max_neighbors =
+      counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
   const model::TaskStore& ts = world.task_store();
-  out.resize(ts.size());
+  std::vector<double> out(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    const double d = demand_from_fields(
-        ts.deadline[i], ts.required[i],
-        static_cast<int>(ts.measurements[i].size()), k, neighbor_counts[i],
-        max_neighbors);
-    out[i] = normalized ? normalize(d) : d;
+    out[i] = demand_from_fields(ts.deadline[i], ts.required[i],
+                                static_cast<int>(ts.measurements[i].size()), k,
+                                counts[i], max_neighbors);
   }
+  return out;
 }
 
 double DemandIndicator::normalize(double demand) const {
@@ -158,28 +109,9 @@ double DemandIndicator::normalize(double demand) const {
 
 std::vector<double> DemandIndicator::normalized_demands(
     const model::World& world, Round k) const {
-  // Fused single pass (normalize applied as each row is produced) over the
-  // cache's counts and running max — one sweep and one allocation where
-  // this used to copy demands() and normalize in a second loop.
-  const model::World::NeighborSnapshot nb = world.neighbor_snapshot();
-  std::vector<double> out;
-  normalized_demands_into(world, k, *nb.counts, nb.max_count, out);
+  std::vector<double> out = demands(world, k);
+  for (double& d : out) d = normalize(d);
   return out;
-}
-
-void DemandIndicator::normalized_demands_into(
-    const model::World& world, Round k,
-    const std::vector<int>& neighbor_counts, std::vector<double>& out) const {
-  normalized_demands_into(world, k, neighbor_counts,
-                          max_count_of(neighbor_counts), out);
-}
-
-void DemandIndicator::normalized_demands_into(
-    const model::World& world, Round k,
-    const std::vector<int>& neighbor_counts, int max_neighbors,
-    std::vector<double>& out) const {
-  sweep_into(world, k, neighbor_counts, max_neighbors, /*normalized=*/true,
-             out);
 }
 
 }  // namespace mcs::incentive

@@ -69,15 +69,16 @@ class DemandIndicator {
                 int max_neighbors) const;
 
   /// Eq. 2 straight from store columns — the shared per-row core of
-  /// demand() and every *_into sweep below, so all of them are the same
-  /// expression by construction. Public so mechanisms fusing demand, level
-  /// and reward into one column sweep (on_demand/adaptive update_rewards)
-  /// price with the exact operation the pinned oracles use.
+  /// demand(), demands() and the mechanisms' fused demand/level/reward
+  /// sweep (on_demand_mechanism.h), so all of them are the same expression
+  /// by construction.
   double demand_from_fields(Round deadline, int required, int received,
                             Round k, int neighbors, int max_neighbors) const;
 
-  /// Raw demands for all tasks of a world at round k. Completed or expired
-  /// tasks get demand 0 (they no longer ask for participants).
+  /// Raw demands for all tasks of a world at round k, one per task row,
+  /// with N_i from World::neighbor_counts() and Nmax their maximum.
+  /// Completed or expired tasks get demand 0 (they no longer ask for
+  /// participants).
   ///
   /// Demands are a pure function of the *current* world snapshot — nothing
   /// is cached between rounds. That statelessness is what makes the
@@ -87,56 +88,13 @@ class DemandIndicator {
   /// delivers.
   std::vector<double> demands(const model::World& world, Round k) const;
 
-  /// Same, with the per-task neighbor counts already in hand (one entry per
-  /// task position, as returned by World::neighbor_counts()). Lets callers
-  /// that evaluate several rounds or mechanisms against one user placement
-  /// skip the spatial-grid recount.
-  std::vector<double> demands(const model::World& world, Round k,
-                              const std::vector<int>& neighbor_counts) const;
-
-  /// Allocation-free demands: writes into `out` (resized to match). The
-  /// mechanism hot path calls this once per publish with a reused member
-  /// buffer, so steady-state repricing allocates nothing. This overload
-  /// scans the counts for Nmax — callers holding the cache's running max
-  /// (World::neighbor_snapshot()) should pass it to the overload below and
-  /// skip the O(T) scan.
-  void demands_into(const model::World& world, Round k,
-                    const std::vector<int>& neighbor_counts,
-                    std::vector<double>& out) const;
-
-  /// Same with Nmax supplied: `max_neighbors` must be >= every count.
-  /// One sweep over the store columns, each row the demand() expression.
-  void demands_into(const model::World& world, Round k,
-                    const std::vector<int>& neighbor_counts, int max_neighbors,
-                    std::vector<double>& out) const;
-
   /// Normalized demand in [0,1]: d / (lambda_max * ln 2)  (§IV-C).
   double normalize(double demand) const;
 
   std::vector<double> normalized_demands(const model::World& world,
                                          Round k) const;
 
-  /// Allocation-free normalized_demands over precomputed neighbor counts.
-  /// Fused: each row is normalized as it is produced (one column sweep, no
-  /// second pass over out), which is the same per-element operation order
-  /// as demands_into + normalize and therefore bit-identical to it.
-  void normalized_demands_into(const model::World& world, Round k,
-                               const std::vector<int>& neighbor_counts,
-                               std::vector<double>& out) const;
-
-  /// Fused normalize with Nmax supplied (see demands_into above).
-  void normalized_demands_into(const model::World& world, Round k,
-                               const std::vector<int>& neighbor_counts,
-                               int max_neighbors,
-                               std::vector<double>& out) const;
-
  private:
-  /// Shared body of the *_into overloads (normalized toggles the fused
-  /// per-row normalize).
-  void sweep_into(const model::World& world, Round k,
-                  const std::vector<int>& neighbor_counts, int max_neighbors,
-                  bool normalized, std::vector<double>& out) const;
-
   DemandParams params_;
   std::vector<double> weights_;
 };

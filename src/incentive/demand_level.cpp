@@ -31,17 +31,4 @@ double DemandLevelScale::bucket_high(int level) const {
   return static_cast<double>(level) / levels_;
 }
 
-std::vector<int> DemandLevelScale::levels_for(
-    const std::vector<double>& demands) const {
-  std::vector<int> out;
-  levels_into(demands, out);
-  return out;
-}
-
-void DemandLevelScale::levels_into(const std::vector<double>& demands,
-                                   std::vector<int>& out) const {
-  out.resize(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) out[i] = level(demands[i]);
-}
-
 }  // namespace mcs::incentive

@@ -2,8 +2,6 @@
 // (Table III of the paper: with N=5, demand (0.2,0.4] -> level 2, etc.).
 #pragma once
 
-#include <vector>
-
 namespace mcs::incentive {
 
 class DemandLevelScale {
@@ -21,13 +19,6 @@ class DemandLevelScale {
   double bucket_low(int level) const;
   /// Inclusive upper edge of a level's bucket.
   double bucket_high(int level) const;
-
-  std::vector<int> levels_for(const std::vector<double>& demands) const;
-
-  /// Allocation-free levels_for: writes into `out` (resized to match;
-  /// steady-state callers reusing one buffer never allocate).
-  void levels_into(const std::vector<double>& demands,
-                   std::vector<int>& out) const;
 
  private:
   int levels_;

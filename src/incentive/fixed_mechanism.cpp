@@ -6,7 +6,6 @@ namespace mcs::incentive {
 
 FixedMechanism::FixedMechanism(RewardRule rule, std::size_t num_tasks, Rng& rng)
     : rule_(rule) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
   levels_.reserve(num_tasks);
   for (std::size_t i = 0; i < num_tasks; ++i) {
     levels_.push_back(
@@ -16,7 +15,6 @@ FixedMechanism::FixedMechanism(RewardRule rule, std::size_t num_tasks, Rng& rng)
 
 FixedMechanism::FixedMechanism(RewardRule rule, std::vector<int> levels)
     : rule_(rule), levels_(std::move(levels)) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
   for (const int lvl : levels_) {
     MCS_CHECK(lvl >= 1 && lvl <= rule_.levels(), "demand level out of range");
   }

@@ -61,12 +61,6 @@ std::vector<int> IncentiveMechanism::int_vector(const Json& array) {
   return out;
 }
 
-Money IncentiveMechanism::reward(TaskId task) const {
-  MCS_CHECK(task >= 0 && static_cast<std::size_t>(task) < rewards_.size(),
-            "reward queried for unknown task (update_rewards not called?)");
-  return rewards_[static_cast<std::size_t>(task)];
-}
-
 MechanismKind parse_mechanism(const std::string& name) {
   const std::string lower = to_lower(name);
   if (lower == "on-demand" || lower == "ondemand" || lower == "demand") {

@@ -31,7 +31,7 @@ class IncentiveMechanism {
 
   /// Recompute rewards for round k from the world state (called once per
   /// round, before task selection). Implementations must size the reward
-  /// vector to world.num_tasks().
+  /// vector to world.num_tasks() and fill it by task row (see rewards()).
   virtual void update_rewards(const model::World& world, Round k) = 0;
 
   /// Mechanisms that react to every arriving measurement (Kawajiri's
@@ -57,10 +57,13 @@ class IncentiveMechanism {
   virtual void reprice(const model::World& world, Round k,
                        const std::vector<std::size_t>& dirty_tasks);
 
-  /// Reward of task `task` at the current round (0 for tasks no longer
-  /// asking for participants).
-  Money reward(TaskId task) const;
-
+  /// The published price table, one entry per task *row*: rewards()[i] is
+  /// the reward of world.tasks()[i] (0 for tasks no longer asking for
+  /// participants), whatever the task ids are. This is the only price
+  /// contract: every update_rewards()/reprice() must leave it sized to
+  /// world.num_tasks(), and the simulator reads it by row and fails with a
+  /// named error after a publish that sizes it otherwise. Values are valid
+  /// until the next update_rewards(), reprice() or restore_state() call.
   const std::vector<Money>& rewards() const { return rewards_; }
 
   /// Workers available to the next update_rewards()/reprice() call. The
@@ -72,20 +75,6 @@ class IncentiveMechanism {
   void set_reprice_workers(ThreadPool* pool, int workers) {
     reprice_pool_ = pool;
     reprice_workers_ = workers;
-  }
-
-  /// The reward table as a dense per-task-row snapshot, or nullptr when
-  /// rewards are not row-indexed. Mechanisms whose reward vector is indexed
-  /// by task *position* (all built-in ones) opt in via rewards_by_row_;
-  /// then (*reward_rows())[row] == reward(task id at row) for every row,
-  /// and the simulator's bulk phases (open-task scan, commit reward tables)
-  /// read the contiguous array instead of one virtual bounds-checked
-  /// reward() call per task. Custom mechanisms keeping an id-keyed table
-  /// (e.g. sparse task ids) leave the flag unset and keep the virtual path.
-  /// The pointer/values are valid until the next update_rewards(),
-  /// reprice() or restore_state() call.
-  const std::vector<Money>* reward_rows() const {
-    return rewards_by_row_ ? &rewards_ : nullptr;
   }
 
   /// Serialize every field that influences future pricing decisions, for
@@ -113,10 +102,7 @@ class IncentiveMechanism {
   static Json int_array(const std::vector<int>& values);
   static std::vector<int> int_vector(const Json& array);
 
-  std::vector<Money> rewards_;
-  // See reward_rows(): set true in the constructor of every mechanism whose
-  // rewards_ is indexed by task position.
-  bool rewards_by_row_ = false;
+  std::vector<Money> rewards_;  // indexed by task row, see rewards()
   // See set_reprice_workers(): the sharded-sweep mechanisms hand these to
   // parallel_ranges; (nullptr, 1) — the default — is the serial path.
   ThreadPool* reprice_pool_ = nullptr;

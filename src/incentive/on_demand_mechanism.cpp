@@ -1,34 +1,30 @@
 #include "incentive/on_demand_mechanism.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace mcs::incentive {
 
-OnDemandMechanism::OnDemandMechanism(DemandIndicator indicator,
-                                     DemandLevelScale scale, RewardRule rule)
-    : indicator_(std::move(indicator)), scale_(scale), rule_(rule) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
-}
+DemandPricedMechanism::DemandPricedMechanism(DemandIndicator indicator,
+                                             DemandLevelScale scale)
+    : indicator_(std::move(indicator)), scale_(scale) {}
 
-void OnDemandMechanism::update_rewards(const model::World& world, Round k) {
-  // Counts and Nmax from one cache sync (the running max comes from the
-  // cache's count histogram, so there is no O(T) max scan either).
-  const model::World::NeighborSnapshot nb = world.neighbor_snapshot();
-  const std::vector<int>& counts = *nb.counts;
+void DemandPricedMechanism::price_rows(const model::World& world, Round k,
+                                       const RewardRule& rule, bool publish) {
+  const std::vector<int>& counts = world.neighbor_counts();
   const model::TaskStore& ts = world.task_store();
   const std::size_t n = ts.size();
   MCS_CHECK(counts.size() == n, "one neighbor count per task");
+  const int max_neighbors =
+      n == 0 ? 0 : *std::max_element(counts.begin(), counts.end());
   last_demands_.resize(n);
   last_levels_.resize(n);
   rewards_.resize(n);
-  // Fused demand/level/reward sweep, fanned over the reprice workers in
-  // disjoint task-row ranges: one pass over the store columns instead of
-  // three (demands, levels, pricing), and every row writes only its own
-  // slots, so the result is bit-identical at any worker count. Per row:
-  // demand_from_fields -> normalize -> level -> withdrawn-gated reward
-  // (received >= required / k > deadline are Task::completed()/expired_at()
-  // verbatim).
+  // Per row: demand_from_fields -> normalize -> level -> withdrawn-gated
+  // reward (received >= required / k > deadline are Task::completed() /
+  // expired_at() verbatim).
   parallel_ranges(
       reprice_pool_, reprice_workers_, n,
       [&](std::size_t, std::size_t lo, std::size_t hi) {
@@ -36,13 +32,23 @@ void OnDemandMechanism::update_rewards(const model::World& world, Round k) {
           const int received = static_cast<int>(ts.measurements[i].size());
           const double d = indicator_.normalize(indicator_.demand_from_fields(
               ts.deadline[i], ts.required[i], received, k, counts[i],
-              nb.max_count));
+              max_neighbors));
           last_demands_[i] = d;
           last_levels_[i] = scale_.level(d);
-          const bool withdrawn = received >= ts.required[i] || k > ts.deadline[i];
-          rewards_[i] = withdrawn ? 0.0 : rule_.reward(last_levels_[i]);
+          const bool withdrawn =
+              received >= ts.required[i] || k > ts.deadline[i];
+          rewards_[i] = (withdrawn || !publish) ? 0.0
+                                                : rule.reward(last_levels_[i]);
         }
       });
+}
+
+OnDemandMechanism::OnDemandMechanism(DemandIndicator indicator,
+                                     DemandLevelScale scale, RewardRule rule)
+    : DemandPricedMechanism(std::move(indicator), scale), rule_(rule) {}
+
+void OnDemandMechanism::update_rewards(const model::World& world, Round k) {
+  price_rows(world, k, rule_, /*publish=*/true);
 }
 
 Json OnDemandMechanism::state_to_json() const {

@@ -9,7 +9,6 @@ namespace mcs::incentive {
 ParticipationMechanism::ParticipationMechanism(RewardRule rule, double target,
                                                double band)
     : rule_(rule), target_(target), band_(band), level_((rule.levels() + 1) / 2) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
   MCS_CHECK(target > 0.0 && target <= 1.0, "participation target in (0,1]");
   MCS_CHECK(band >= 0.0 && band < target, "band must be in [0, target)");
 }

@@ -8,7 +8,6 @@ namespace mcs::incentive {
 
 SteeredMechanism::SteeredMechanism(Money rc, double mu, double delta)
     : rc_(rc), mu_(mu), delta_(delta) {
-  rewards_by_row_ = true;  // rewards_ is indexed by task position
   MCS_CHECK(rc >= 0.0, "steered base reward must be non-negative");
   MCS_CHECK(mu >= 0.0, "steered mu must be non-negative");
   MCS_CHECK(delta > 0.0 && delta < 1.0, "steered delta must be in (0,1)");

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -100,32 +99,15 @@ class World {
   /// throws mcs::Error instead of racing silently.
   const std::vector<int>& neighbor_counts() const;
 
-  /// The maximum of neighbor_counts() (Nmax, the X3 denominator of Eq. 6),
-  /// maintained incrementally by a count histogram: O(1) amortized per
-  /// count change instead of an O(T) max_element per query. Syncs the cache
-  /// exactly like neighbor_counts() and always equals
-  /// *max_element(neighbor_counts()) (0 when there are no tasks).
-  int neighbor_max_count() const;
-
   /// Rebuild the neighbor cache with the per-task counting fanned out over
   /// `pool` when a rebuild is due (first use, or the task/user set
   /// changed). A no-op when the cache is merely stale — the delta sync is
   /// O(moved) and stays serial. Counts are integer-exact and identical to
   /// the serial rebuild: workers only run read-only count_radius queries
-  /// over the freshly built user grid into disjoint count slots, and the
-  /// histogram is rebuilt serially afterwards. The caller must be the
-  /// cache's single consumer (same contract as neighbor_counts()).
+  /// over the freshly built user grid into disjoint count slots. The caller
+  /// must be the cache's single consumer (same contract as
+  /// neighbor_counts()).
   void warm_neighbor_cache(ThreadPool& pool, int workers) const;
-
-  /// The synced counts and their running max from one sync — identical to
-  /// what neighbor_counts()/neighbor_max_count() return, without paying
-  /// the O(U) location diff twice. The pointer stays valid until the next
-  /// cache-syncing call.
-  struct NeighborSnapshot {
-    const std::vector<int>* counts = nullptr;
-    int max_count = 0;
-  };
-  NeighborSnapshot neighbor_snapshot() const;
 
   /// Total number of measurements required across tasks (sum of phi_i);
   /// the denominator of Eq. 9.
@@ -145,10 +127,9 @@ class World {
   void rebuild_neighbor_cache() const;
   void sync_neighbor_cache() const;
 
-  /// Shared serial prologue/epilogue of the serial and pooled rebuilds:
-  /// grids + position snapshots, then histogram reconstruction.
+  /// Shared serial prologue of the serial and pooled rebuilds: grids and
+  /// position snapshots.
   void rebuild_neighbor_grids() const;
-  void rebuild_neighbor_derived() const;
 
   geo::BoundingBox area_;
   geo::TravelModel travel_;
@@ -174,17 +155,7 @@ class World {
     geo::FrozenGrid task_grid;         // ids are task positions
     std::vector<geo::Point> user_pos;  // last-synced user locations
     std::vector<geo::Point> task_pos;  // task set at build time
-    std::vector<int> counts;                    // one per task position
-    // Running max: count_freq[c] = number of tasks with count c; max_count
-    // tracks the largest non-empty bucket (0 when there are no tasks).
-    int max_count = 0;
-    std::vector<int> count_freq;
-    // Batched-sync scratch (sync_neighbor_cache): net count delta per task
-    // and the first-touch list of the sync in flight. Both are left empty /
-    // all-zero when the sync returns, so they carry no state between calls.
-    std::vector<int> delta;
-    std::vector<std::size_t> touched;
-    std::vector<std::uint32_t> touch_mark;
+    std::vector<int> counts;           // one per task position
   };
   mutable NeighborCache ncache_;
   // Debug tripwire for the documented NOT-thread-safe contract: every

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -47,27 +48,26 @@ double mono_seconds() {
       .count();
 }
 
-// The published price of the task at `row`: the mechanism's dense per-row
-// table when it publishes one of the right size (every built-in mechanism
-// does), else reward() by the task's *id* — ids need not be dense, so a row
-// is never handed to reward(). Every price read in this file goes through
-// here.
-Money price_of(const incentive::IncentiveMechanism& mechanism,
-               const model::World& world, std::size_t row) {
-  const std::vector<Money>* rows = mechanism.reward_rows();
-  return rows != nullptr && rows->size() == world.num_tasks()
-             ? (*rows)[row]
-             : mechanism.reward(world.task_store().id[row]);
+// The price table the mechanism just published, indexed by task row
+// (IncentiveMechanism::rewards()). Checked once per publish, so every price
+// read in this file can index it by row without a per-read fallback.
+const std::vector<Money>& published_rewards(
+    const incentive::IncentiveMechanism& mechanism, const model::World& world) {
+  const std::vector<Money>& rewards = mechanism.rewards();
+  MCS_CHECK(rewards.size() == world.num_tasks(),
+            std::string("mechanism '") + mechanism.name() + "' published " +
+                std::to_string(rewards.size()) + " rewards for " +
+                std::to_string(world.num_tasks()) +
+                " tasks; rewards() must hold one price per task row");
+  return rewards;
 }
 
 std::vector<bool> open_tasks(const model::World& world,
-                             const incentive::IncentiveMechanism& mechanism,
-                             Round k) {
+                             const std::vector<Money>& rewards, Round k) {
   std::vector<bool> open(world.num_tasks(), false);
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     const model::Task& t = world.tasks()[i];
-    open[i] = !t.completed() && !t.expired_at(k) &&
-              price_of(mechanism, world, i) > 0.0;
+    open[i] = !t.completed() && !t.expired_at(k) && rewards[i] > 0.0;
   }
   return open;
 }
@@ -76,7 +76,7 @@ std::vector<bool> open_tasks(const model::World& world,
 // order. Prices are read at call time, so intra-round repricing between
 // sessions is visible here too.
 select::SelectionInstance make_instance(
-    const model::World& world, const incentive::IncentiveMechanism& mechanism,
+    const model::World& world, const std::vector<Money>& rewards,
     const model::User& u, const std::vector<bool>& open, geo::Point start,
     Seconds time_budget) {
   select::SelectionInstance inst;
@@ -87,9 +87,8 @@ select::SelectionInstance make_instance(
     if (!open[i]) continue;
     const model::Task& t = world.tasks()[i];
     if (t.has_contributed(u.id())) continue;
-    const Money reward = price_of(mechanism, world, i);
-    if (reward <= 0.0) continue;
-    inst.candidates.push_back({t.id(), t.location(), reward});
+    if (rewards[i] <= 0.0) continue;
+    inst.candidates.push_back({t.id(), t.location(), rewards[i]});
   }
   return inst;
 }
@@ -100,12 +99,13 @@ std::vector<select::SelectionInstance> Simulator::peek_instances() {
   MCS_CHECK(next_round_ <= params_.max_rounds, "campaign already over");
   const Round k = next_round_;
   mechanism_->update_rewards(world_, k);
-  std::vector<bool> open = open_tasks(world_, *mechanism_, k);
+  const std::vector<Money>& rewards = published_rewards(*mechanism_, world_);
+  std::vector<bool> open = open_tasks(world_, rewards, k);
   apply_withdrawals(open, k);
   std::vector<select::SelectionInstance> out;
   out.reserve(world_.num_users());
   for (const model::User& u : world_.users()) {
-    out.push_back(make_instance(world_, *mechanism_, u, open, u.home(),
+    out.push_back(make_instance(world_, rewards, u, open, u.home(),
                                 u.time_budget()));
   }
   return out;
@@ -156,7 +156,7 @@ void Simulator::commit_session(Round k, model::User& u, std::size_t pos,
     // The task's row (tasks_ is contiguous): prices and the dirty set
     // speak rows, matching the reprice() contract.
     const auto row = static_cast<std::size_t>(&t - world_.tasks().data());
-    const Money reward = price_of(*mechanism_, world_, row);
+    const Money reward = mechanism_->rewards()[row];
     const Meters leg = geo::euclidean(at, t.location());
     walked += leg;
     at = t.location();
@@ -359,16 +359,16 @@ void Simulator::run_sessions_serial(
     if (intra_round) {
       if (timed) t0 = mono_seconds();
       mechanism_->reprice(world_, k, dirty);
+      const std::vector<Money>& rewards =
+          published_rewards(*mechanism_, world_);
       dirty.clear();
       // What this session was actually offered: the round's open tasks at
       // their freshly published prices (price 0 = withdrawn, not published).
       double session_sum = 0.0;
       int session_open = 0;
       for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-        if (!open[i]) continue;
-        const Money reward = price_of(*mechanism_, world_, i);
-        if (reward <= 0.0) continue;
-        session_sum += reward;
+        if (!open[i] || rewards[i] <= 0.0) continue;
+        session_sum += rewards[i];
         ++session_open;
       }
       if (session_open > 0) {
@@ -379,8 +379,9 @@ void Simulator::run_sessions_serial(
     }
 
     if (timed) t0 = mono_seconds();
-    const select::SelectionInstance inst = make_instance(
-        world_, *mechanism_, u, open, u.location(), u.time_budget());
+    const select::SelectionInstance inst =
+        make_instance(world_, mechanism_->rewards(), u, open, u.location(),
+                      u.time_budget());
     const select::Selection sel = selector_->select(inst);
     MCS_ASSERT(select::is_feasible(inst, sel),
                "selector returned an infeasible tour");
@@ -523,12 +524,13 @@ void Simulator::run_round(Round k, const std::vector<bool>& open,
   // open task instead of one per candidate per user) and a CSR grid over
   // the open priced tasks for reach-local candidate gathering. Grid ids
   // index priced_rows_, which ascends with the task row.
+  const std::vector<Money>& rewards = mechanism_->rewards();
   round_reward_.assign(n_tasks, 0.0);
   priced_rows_.clear();
   priced_points_.clear();
   for (std::size_t i = 0; i < n_tasks; ++i) {
     if (!open[i]) continue;
-    const Money r = price_of(*mechanism_, world_, i);
+    const Money r = rewards[i];
     if (r <= 0.0) continue;
     round_reward_[i] = r;
     priced_rows_.push_back(static_cast<std::uint32_t>(i));
@@ -712,6 +714,7 @@ const RoundMetrics& Simulator::step() {
   if (pool != nullptr) world_.warm_neighbor_cache(*pool, workers);
   mechanism_->set_reprice_workers(pool, workers);
   mechanism_->update_rewards(world_, k);
+  const std::vector<Money>& rewards = published_rewards(*mechanism_, world_);
   if (timed) phase_.reprice += mono_seconds() - t0;
 
   // Which tasks are open when the round begins. For round-granularity
@@ -720,7 +723,7 @@ const RoundMetrics& Simulator::step() {
   // before each user session, but a task that completes mid-round likewise
   // stays deliverable for the users of this round. Glitched tasks leave the
   // set before anything is published.
-  std::vector<bool> open = open_tasks(world_, *mechanism_, k);
+  std::vector<bool> open = open_tasks(world_, rewards, k);
 
   RoundMetrics rm;
   rm.round = k;
@@ -732,7 +735,7 @@ const RoundMetrics& Simulator::step() {
   // mean is re-recorded from the session prices below.
   for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
     if (!open[i]) continue;
-    rm.mean_open_reward += price_of(*mechanism_, world_, i);
+    rm.mean_open_reward += rewards[i];
     ++rm.open_tasks;
   }
   if (rm.open_tasks > 0) rm.mean_open_reward /= rm.open_tasks;

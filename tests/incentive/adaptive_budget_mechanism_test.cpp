@@ -31,8 +31,8 @@ TEST(AdaptiveBudget, FirstRoundMatchesStaticEq9) {
   EXPECT_DOUBLE_EQ(m.current_rule().r0(), 0.5);
   EXPECT_DOUBLE_EQ(m.current_rule().max_reward(), 2.5);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_GE(m.reward(static_cast<TaskId>(i)), 0.5);
-    EXPECT_LE(m.reward(static_cast<TaskId>(i)), 2.5);
+    EXPECT_GE(m.rewards()[i], 0.5);
+    EXPECT_LE(m.rewards()[i], 2.5);
   }
 }
 
@@ -45,8 +45,8 @@ TEST(AdaptiveBudget, SlackFlowsBackIntoRewards) {
   for (int u = 0; u < 4; ++u) w.task(0).add_measurement(u, 1, 1.0);
   m.update_rewards(w, 2);
   EXPECT_DOUBLE_EQ(m.current_rule().r0(), 2.0);
-  EXPECT_DOUBLE_EQ(m.reward(0), 0.0);  // task 0 completed -> withdrawn
-  EXPECT_GT(m.reward(1), 0.5);
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 0.0);  // task 0 completed -> withdrawn
+  EXPECT_GT(m.rewards()[1], 0.5);
 }
 
 TEST(AdaptiveBudget, NeverBelowInitialRule) {
@@ -79,7 +79,7 @@ TEST(AdaptiveBudget, ExhaustedBudgetWithdrawsEverything) {
   m.update_rewards(w, 1);
   for (int u = 0; u < 5; ++u) w.task(0).add_measurement(u, 1, 4.0);  // $20
   m.update_rewards(w, 2);
-  EXPECT_DOUBLE_EQ(m.reward(1), 0.0);
+  EXPECT_DOUBLE_EQ(m.rewards()[1], 0.0);
 }
 
 TEST(AdaptiveBudget, Validation) {

@@ -46,12 +46,6 @@ TEST(DemandLevel, BucketEdges) {
   EXPECT_THROW(s.bucket_high(6), Error);
 }
 
-TEST(DemandLevel, VectorHelper) {
-  const DemandLevelScale s(5);
-  const auto levels = s.levels_for({0.0, 0.35, 0.99});
-  EXPECT_EQ(levels, (std::vector<int>{1, 2, 5}));
-}
-
 TEST(DemandLevel, RejectsBadLevelCount) {
   EXPECT_THROW(DemandLevelScale(0), Error);
   EXPECT_THROW(DemandLevelScale(-3), Error);

@@ -188,21 +188,6 @@ TEST_F(DemandIndicatorTest, WorldDemandsVectorised) {
   }
 }
 
-TEST_F(DemandIndicatorTest, PrecomputedNeighborCountsMatchRecount) {
-  world_.add_task({0, 0}, 10, 20);
-  world_.add_task({3000, 3000}, 10, 20);
-  world_.add_user({10, 10}, 600.0);
-  const std::vector<int> counts = world_.neighbor_counts();
-  const auto recounted = indicator_.demands(world_, 1);
-  const auto precomputed = indicator_.demands(world_, 1, counts);
-  ASSERT_EQ(recounted.size(), precomputed.size());
-  for (std::size_t i = 0; i < recounted.size(); ++i) {
-    EXPECT_EQ(recounted[i], precomputed[i]);  // bit-identical, same code path
-  }
-  // Wrong-sized count vectors are a caller bug, not silently truncated.
-  EXPECT_THROW(indicator_.demands(world_, 1, {1}), Error);
-}
-
 TEST_F(DemandIndicatorTest, LostProgressKeepsDemandInflated) {
   // The fault layer's degradation story in one assertion: a measurement
   // that never reaches the platform (lost upload -> no add_measurement)
@@ -274,79 +259,6 @@ TEST_P(DemandBoundsProperty, AlwaysInRange) {
 
 INSTANTIATE_TEST_SUITE_P(Deadlines, DemandBoundsProperty,
                          ::testing::Values(1, 2, 5, 15, 40));
-
-// demands_into sweeps the raw store columns; it must equal the per-task
-// demand() view path bit for bit across progress states (fresh, partial,
-// completed, overfilled) and rounds (live, final, expired).
-TEST(DemandIndicator, ColumnSweepMatchesPerTaskDemandBitExact) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  model::World world(geo::BoundingBox::square(1000.0), geo::TravelModel{},
-                     100.0);
-  world.add_task({100, 100}, /*deadline=*/3, /*required=*/4);   // fresh
-  world.add_task({200, 200}, 8, 3);                             // partial
-  world.add_task({300, 300}, 8, 2);                             // completed
-  world.add_task({400, 400}, 2, 1);                             // expires early
-  world.add_task({500, 500}, 8, 2);                             // overfilled
-  world.task(1).add_measurement(0, 1, 0.5);
-  world.task(2).add_measurement(0, 1, 0.5);
-  world.tasks()[2].add_measurement(1, 1, 0.5);
-  for (int i = 0; i < 3; ++i) world.tasks()[4].add_measurement(i, 1, 0.5);
-  const std::vector<int> counts = {0, 1, 2, 3, 1};
-  for (const Round k : {1, 2, 3, 8}) {
-    std::vector<double> swept;
-    indicator.demands_into(world, k, counts, swept);
-    ASSERT_EQ(swept.size(), world.num_tasks());
-    for (std::size_t i = 0; i < world.num_tasks(); ++i) {
-      EXPECT_EQ(swept[i], indicator.demand(world.tasks()[i], k, counts[i], 3))
-          << "task " << i << " round " << k;
-    }
-  }
-}
-
-// The cached running max: demands(world, k) now reads Nmax from the
-// neighbor cache's histogram instead of scanning the counts. Regression —
-// it must equal the scan-based overload exactly, before and after user
-// movement shifts the counts.
-TEST(DemandIndicator, CachedRunningMaxMatchesCountScan) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  model::World world(geo::BoundingBox::square(3000.0), geo::TravelModel{},
-                     500.0);
-  world.add_task({300, 300}, /*deadline=*/8, /*required=*/4);
-  world.add_task({900, 300}, 8, 4);
-  world.add_task({1500, 300}, 8, 4);
-  world.add_user({300, 320}, 600.0);
-  world.add_user({300, 280}, 600.0);
-  world.add_user({900, 320}, 600.0);
-
-  EXPECT_EQ(indicator.demands(world, 1),
-            indicator.demands(world, 1, world.neighbor_counts()));
-
-  // Move a user between discs: counts change, the histogram max follows.
-  world.users()[2].set_location({1500.0, 320.0});
-  EXPECT_EQ(indicator.demands(world, 2),
-            indicator.demands(world, 2, world.neighbor_counts()));
-}
-
-// normalized_demands_into is a fused single pass; it must equal the
-// two-pass demands_into + normalize loop bit for bit.
-TEST(DemandIndicator, FusedNormalizeMatchesTwoPassBitExact) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  model::World world(geo::BoundingBox::square(1000.0), geo::TravelModel{},
-                     100.0);
-  world.add_task({100, 100}, /*deadline=*/6, /*required=*/4);
-  world.add_task({200, 200}, 8, 3);
-  world.add_task({300, 300}, 2, 2);
-  world.task(1).add_measurement(0, 1, 0.5);
-  const std::vector<int> counts = {0, 2, 1};
-  for (const Round k : {1, 2, 3}) {
-    std::vector<double> two_pass;
-    indicator.demands_into(world, k, counts, two_pass);
-    for (double& d : two_pass) d = indicator.normalize(d);
-    std::vector<double> fused;
-    indicator.normalized_demands_into(world, k, counts, fused);
-    EXPECT_EQ(fused, two_pass) << "round " << k;
-  }
-}
 
 }  // namespace
 }  // namespace mcs::incentive

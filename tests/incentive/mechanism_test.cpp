@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/error.h"
 #include "incentive/fixed_mechanism.h"
@@ -33,11 +34,11 @@ TEST(OnDemandMechanism, RewardsTrackDemandLevels) {
   ASSERT_EQ(m.rewards().size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const int lvl = m.last_levels()[i];
-    EXPECT_DOUBLE_EQ(m.reward(static_cast<TaskId>(i)),
+    EXPECT_DOUBLE_EQ(m.rewards()[i],
                      paper_rule().reward(lvl));
   }
   // The remote task (no neighbors) must out-earn the popular one.
-  EXPECT_GE(m.reward(1), m.reward(0));
+  EXPECT_GE(m.rewards()[1], m.rewards()[0]);
   // Rewards stay inside the rule's range for open tasks.
   for (const Money r : m.rewards()) {
     EXPECT_GE(r, paper_rule().min_reward());
@@ -76,9 +77,9 @@ TEST(OnDemandMechanism, WithdrawsCompletedAndExpiredTasks) {
                       DemandLevelScale(5), paper_rule());
   for (int u = 0; u < 4; ++u) w.task(0).add_measurement(u, 1, 1.0);
   m.update_rewards(w, 4);  // task 2 (deadline 3) has expired by round 4
-  EXPECT_DOUBLE_EQ(m.reward(0), 0.0);  // completed
-  EXPECT_DOUBLE_EQ(m.reward(2), 0.0);  // expired
-  EXPECT_GT(m.reward(1), 0.0);         // still open
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 0.0);  // completed
+  EXPECT_DOUBLE_EQ(m.rewards()[2], 0.0);  // expired
+  EXPECT_GT(m.rewards()[1], 0.0);         // still open
 }
 
 TEST(OnDemandMechanism, NotIntraRound) {
@@ -115,9 +116,9 @@ TEST(FixedMechanism, ExplicitLevels) {
   model::World w = small_world();
   FixedMechanism m(paper_rule(), {1, 3, 5});
   m.update_rewards(w, 1);
-  EXPECT_DOUBLE_EQ(m.reward(0), 0.5);
-  EXPECT_DOUBLE_EQ(m.reward(1), 1.5);
-  EXPECT_DOUBLE_EQ(m.reward(2), 2.5);
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 0.5);
+  EXPECT_DOUBLE_EQ(m.rewards()[1], 1.5);
+  EXPECT_DOUBLE_EQ(m.rewards()[2], 2.5);
   EXPECT_THROW(FixedMechanism(paper_rule(), {0}), Error);
   EXPECT_THROW(FixedMechanism(paper_rule(), {6}), Error);
 }
@@ -127,8 +128,8 @@ TEST(FixedMechanism, WithdrawsClosedTasksButKeepsLevel) {
   FixedMechanism m(paper_rule(), {2, 2, 2});
   for (int u = 0; u < 4; ++u) w.task(0).add_measurement(u, 1, 1.0);
   m.update_rewards(w, 2);
-  EXPECT_DOUBLE_EQ(m.reward(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.reward(1), 1.0);
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 0.0);
+  EXPECT_DOUBLE_EQ(m.rewards()[1], 1.0);
 }
 
 TEST(FixedMechanism, TaskCountMismatchThrows) {
@@ -169,11 +170,11 @@ TEST(SteeredMechanism, UpdatesUseReceivedCounts) {
   model::World w = small_world();
   SteeredMechanism m(0.5, 10.0, 0.2);
   m.update_rewards(w, 1);
-  EXPECT_NEAR(m.reward(0), 2.5, 1e-12);
+  EXPECT_NEAR(m.rewards()[0], 2.5, 1e-12);
   w.task(0).add_measurement(0, 1, 2.5);
   m.update_rewards(w, 1);
-  EXPECT_NEAR(m.reward(0), 0.5 + 10.0 * 0.16, 1e-12);
-  EXPECT_NEAR(m.reward(1), 2.5, 1e-12);  // untouched task unchanged
+  EXPECT_NEAR(m.rewards()[0], 0.5 + 10.0 * 0.16, 1e-12);
+  EXPECT_NEAR(m.rewards()[1], 2.5, 1e-12);  // untouched task unchanged
 }
 
 TEST(SteeredMechanism, IsIntraRound) {
@@ -213,8 +214,11 @@ TEST(MechanismFactory, ParseNames) {
 }
 
 TEST(Mechanism, RewardQueryBeforeUpdateThrows) {
+  // Nothing is published before the first update: the row table is empty,
+  // so a checked row read fails instead of returning a stale price.
   const SteeredMechanism m(0.5, 10.0, 0.2);
-  EXPECT_THROW(m.reward(0), Error);
+  EXPECT_TRUE(m.rewards().empty());
+  EXPECT_THROW(static_cast<void>(m.rewards().at(0)), std::out_of_range);
 }
 
 }  // namespace

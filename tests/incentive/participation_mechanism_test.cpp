@@ -22,8 +22,8 @@ TEST(ParticipationMechanism, StartsAtMiddleLevelWithGlobalPrice) {
   ParticipationMechanism m(rule());
   EXPECT_EQ(m.current_level(), 3);
   m.update_rewards(w, 1);
-  EXPECT_DOUBLE_EQ(m.reward(0), 1.5);
-  EXPECT_DOUBLE_EQ(m.reward(1), 1.5);  // one global price, location-blind
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 1.5);
+  EXPECT_DOUBLE_EQ(m.rewards()[1], 1.5);  // one global price, location-blind
 }
 
 TEST(ParticipationMechanism, ControllerRaisesOnLowParticipation) {
@@ -75,8 +75,8 @@ TEST(ParticipationMechanism, WithdrawsClosedTasks) {
   ParticipationMechanism m(rule());
   for (int u = 0; u < 5; ++u) w.task(0).add_measurement(u, 1, 1.5);
   m.update_rewards(w, 2);
-  EXPECT_DOUBLE_EQ(m.reward(0), 0.0);
-  EXPECT_GT(m.reward(1), 0.0);
+  EXPECT_DOUBLE_EQ(m.rewards()[0], 0.0);
+  EXPECT_GT(m.rewards()[1], 0.0);
 }
 
 TEST(ParticipationMechanism, Validation) {
@@ -97,7 +97,7 @@ TEST(ParticipationMechanism, FactoryIntegration) {
       make_mechanism(MechanismKind::kParticipation, w, params, rng);
   EXPECT_STREQ(m->name(), "participation");
   m->update_rewards(w, 1);
-  EXPECT_DOUBLE_EQ(m->reward(0), 8.0 + 0.5 * 2);  // level 3
+  EXPECT_DOUBLE_EQ(m->rewards()[0], 8.0 + 0.5 * 2);  // level 3
   EXPECT_EQ(parse_mechanism("participation"), MechanismKind::kParticipation);
   EXPECT_EQ(parse_mechanism("radp"), MechanismKind::kParticipation);
 }

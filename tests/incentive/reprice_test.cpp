@@ -6,9 +6,13 @@
 // built mechanism as the oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "geo/distance.h"
+#include "incentive/adaptive_budget_mechanism.h"
 #include "incentive/demand.h"
 #include "incentive/demand_level.h"
 #include "incentive/on_demand_mechanism.h"
@@ -168,11 +172,9 @@ TEST(OnDemandReprice, SparseTaskIdsPriceByPosition) {
   dense_m.update_rewards(dense, 1);
   EXPECT_EQ(m.rewards(), dense_m.rewards());
 
-  // The row snapshot is published (built-in mechanisms are row-indexed),
-  // and reward-by-id would reject these out-of-range ids — the snapshot is
-  // what lets the simulator's bulk phases price sparse worlds at all.
-  ASSERT_NE(m.reward_rows(), nullptr);
-  EXPECT_EQ(*m.reward_rows(), m.rewards());
+  // The row table is the published price contract: one entry per task
+  // row, whatever the ids (40, 17, 93 would be out of range as indices).
+  ASSERT_EQ(m.rewards().size(), w.num_tasks());
 
   // Reprice stays position-indexed too.
   w.tasks()[1].add_measurement(UserId{5}, 1, 1.0);
@@ -201,6 +203,101 @@ TEST(SteeredReprice, EmptyDirtySetIsANoOp) {
   const std::vector<Money> before = m.rewards();
   m.reprice(w, 1, {});
   EXPECT_EQ(m.rewards(), before);
+}
+
+// The per-task oracle for the fused demand -> level -> reward sweep:
+// brute-force neighbor counts, Nmax = their max_element, then Eq. 2 on the
+// Task view, normalize, level and the rule, one task at a time. `rule`
+// nullptr means nothing may be published (adaptive with its budget spent).
+void expect_matches_per_task_oracle(const DemandPricedMechanism& m,
+                                    const model::World& w, Round k,
+                                    const RewardRule* rule) {
+  std::vector<int> counts(w.num_tasks(), 0);
+  const double r2 = w.neighbor_radius() * w.neighbor_radius();
+  for (std::size_t i = 0; i < w.num_tasks(); ++i) {
+    for (const model::User& u : w.users()) {
+      if (geo::squared_euclidean(w.tasks()[i].location(), u.location()) <=
+          r2) {
+        ++counts[i];
+      }
+    }
+  }
+  const int nmax = *std::max_element(counts.begin(), counts.end());
+  ASSERT_EQ(m.rewards().size(), w.num_tasks());
+  ASSERT_EQ(m.last_normalized_demands().size(), w.num_tasks());
+  ASSERT_EQ(m.last_levels().size(), w.num_tasks());
+  for (std::size_t i = 0; i < w.num_tasks(); ++i) {
+    const model::Task& t = w.tasks()[i];
+    const double d =
+        m.indicator().normalize(m.indicator().demand(t, k, counts[i], nmax));
+    const int level = m.scale().level(d);
+    const bool withdrawn = t.completed() || t.expired_at(k);
+    const Money reward =
+        (rule == nullptr || withdrawn) ? 0.0 : rule->reward(level);
+    EXPECT_EQ(m.last_normalized_demands()[i], d) << "row " << i;
+    EXPECT_EQ(m.last_levels()[i], level) << "row " << i;
+    EXPECT_EQ(m.rewards()[i], reward) << "row " << i;
+  }
+}
+
+TEST(DemandPricing, FusedSweepMatchesPerTaskOracleBitExact) {
+  // On-demand and adaptive publish through one fused sweep with Nmax read
+  // from the neighbor counts. Over seeded random user moves, deliveries
+  // and rounds, every published demand, level and reward must equal the
+  // per-task computation exactly.
+  const double side = 2000.0;
+  model::World w(geo::BoundingBox::square(side), geo::TravelModel{}, 300.0);
+  Rng rng(2024);
+  const auto random_point = [&rng, side] {
+    return geo::Point{rng.uniform(0.0, side), rng.uniform(0.0, side)};
+  };
+  for (int i = 0; i < 25; ++i) {
+    w.add_task(random_point(), static_cast<Round>(rng.uniform_int(2, 8)),
+               static_cast<int>(rng.uniform_int(1, 5)));
+  }
+  for (int i = 0; i < 60; ++i) w.add_user(random_point(), 600.0);
+
+  const Money budget = 2.5 * static_cast<Money>(w.total_required());
+  OnDemandMechanism on_demand(
+      DemandIndicator::with_paper_defaults(), DemandLevelScale(5),
+      RewardRule::from_budget(budget, w.total_required(), 0.5, 5));
+  AdaptiveBudgetMechanism adaptive(DemandIndicator::with_paper_defaults(),
+                                   DemandLevelScale(5), budget, 0.5);
+  UserId next_contributor = 1000;
+  for (Round k = 1; k <= 6; ++k) {
+    SCOPED_TRACE(k);
+    const int moves = static_cast<int>(rng.uniform_int(0, 15));
+    for (int m = 0; m < moves; ++m) {
+      const auto who = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(w.num_users()) - 1));
+      w.users()[who].set_location(random_point());
+    }
+    const int deliveries = static_cast<int>(rng.uniform_int(0, 6));
+    for (int d = 0; d < deliveries; ++d) {
+      model::Task& t = w.tasks()[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(w.num_tasks()) - 1))];
+      if (!t.expired_at(k)) t.add_measurement(next_contributor++, k, 0.1);
+    }
+    on_demand.update_rewards(w, k);
+    expect_matches_per_task_oracle(on_demand, w, k, &on_demand.rule());
+    adaptive.update_rewards(w, k);
+    expect_matches_per_task_oracle(adaptive, w, k, &adaptive.current_rule());
+  }
+
+  // Adaptive with the budget spent: demands and levels still follow the
+  // oracle, but every reward is 0, open tasks included.
+  const Round k = 7;
+  const auto open = [&w, k](const model::Task& t) {
+    return !t.completed() && !t.expired_at(k);
+  };
+  const auto first_open =
+      std::find_if(w.tasks().begin(), w.tasks().end(), open);
+  ASSERT_NE(first_open, w.tasks().end());
+  first_open->add_measurement(next_contributor++, k, budget);
+  ASSERT_TRUE(std::any_of(w.tasks().begin(), w.tasks().end(), open));
+  ASSERT_GE(w.total_paid(), budget);
+  adaptive.update_rewards(w, k);
+  expect_matches_per_task_oracle(adaptive, w, k, nullptr);
 }
 
 }  // namespace

@@ -87,34 +87,6 @@ TEST(NeighborCache, PopulationAndTaskGrowthForceRebuild) {
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
 }
 
-TEST(NeighborCache, RunningMaxMatchesMaxElementAcrossRandomMoves) {
-  const double side = 2000.0;
-  World w(geo::BoundingBox::square(side), geo::TravelModel{}, 300.0);
-  Rng rng(99);
-  for (int i = 0; i < 25; ++i) w.add_task(random_point(rng, side), 10, 5);
-  for (int i = 0; i < 60; ++i) w.add_user(random_point(rng, side), 600.0);
-
-  for (int iter = 0; iter < 40; ++iter) {
-    const int moves = static_cast<int>(rng.uniform_int(0, 10));
-    for (int m = 0; m < moves; ++m) {
-      const auto who = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(w.num_users()) - 1));
-      w.users()[who].set_location(random_point(rng, side));
-    }
-    // The one-sync snapshot the mechanisms price from carries the same
-    // counts and max as the separate accessors.
-    const World::NeighborSnapshot nb = w.neighbor_snapshot();
-    EXPECT_EQ(*nb.counts, brute_force_counts(w)) << "iter " << iter;
-    EXPECT_EQ(nb.max_count,
-              *std::max_element(nb.counts->begin(), nb.counts->end()))
-        << "iter " << iter;
-    const std::vector<int>& counts = w.neighbor_counts();
-    EXPECT_EQ(w.neighbor_max_count(),
-              *std::max_element(counts.begin(), counts.end()))
-        << "iter " << iter;
-  }
-}
-
 TEST(NeighborCache, ZeroRadiusAndCoincidentPoints) {
   World w(geo::BoundingBox::square(100.0), geo::TravelModel{}, 0.0);
   w.add_task({50.0, 50.0}, 10, 5);

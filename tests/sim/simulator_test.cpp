@@ -224,20 +224,18 @@ TEST(Simulator, ConstructionValidation) {
   EXPECT_THROW(Simulator(tiny_world(), std::move(mech), nullptr, {}), Error);
 }
 
-// Pays 1 + id/10 dollars for every open task, keyed strictly by task id —
-// valid for worlds whose ids are not dense vector positions.
-class IdKeyedMechanism final : public incentive::IncentiveMechanism {
+// Pays 1 + id/10 dollars for every open task, published by task row as
+// IncentiveMechanism::rewards() requires, in a world whose ids are not
+// dense vector positions.
+class IdPricedMechanism final : public incentive::IncentiveMechanism {
  public:
-  explicit IdKeyedMechanism(TaskId max_id) {
-    rewards_.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-  }
-  const char* name() const override { return "id-keyed"; }
+  const char* name() const override { return "id-priced"; }
   void update_rewards(const model::World& world, Round k) override {
-    for (const model::Task& t : world.tasks()) {
-      rewards_[static_cast<std::size_t>(t.id())] =
-          (t.completed() || t.expired_at(k))
-              ? 0.0
-              : 1.0 + 0.1 * static_cast<double>(t.id());
+    rewards_.assign(world.num_tasks(), 0.0);
+    for (std::size_t i = 0; i < world.num_tasks(); ++i) {
+      const model::Task& t = world.tasks()[i];
+      if (t.completed() || t.expired_at(k)) continue;
+      rewards_[i] = 1.0 + 0.1 * static_cast<double>(t.id());
     }
   }
 };
@@ -254,17 +252,97 @@ TEST(Simulator, RoundMetricsIndexRewardsByTaskIdNotPosition) {
   w.add_user({0, 0}, 600.0);
 
   auto sel = select::make_selector(select::SelectorKind::kDp);
-  Simulator s(std::move(w), std::make_unique<IdKeyedMechanism>(31),
+  Simulator s(std::move(w), std::make_unique<IdPricedMechanism>(),
               std::move(sel), {});
   const RoundMetrics& rm = s.step();
   EXPECT_EQ(rm.open_tasks, 3);
   EXPECT_DOUBLE_EQ(rm.mean_open_reward, (2.0 + 3.0 + 4.1) / 3.0);
-  // The campaign itself runs on id-keyed lookups too: the user reached the
-  // two nearby tasks and was paid their published (id-keyed) rewards.
+  // The user reached the two nearby tasks and was paid the prices the
+  // mechanism published for their rows.
   EXPECT_EQ(s.world().task(10).received(), 1);
   EXPECT_EQ(s.world().task(20).received(), 1);
   EXPECT_DOUBLE_EQ(s.world().task(10).measurements()[0].reward_paid, 2.0);
   EXPECT_DOUBLE_EQ(s.world().task(20).measurements()[0].reward_paid, 3.0);
+}
+
+// Fills rewards_ by row with no other declaration, like the custom-mechanism
+// example's ProgressOnlyMechanism, but with a distinct price per row.
+class RowPricedMechanism final : public incentive::IncentiveMechanism {
+ public:
+  const char* name() const override { return "row-priced"; }
+  void update_rewards(const model::World& world, Round k) override {
+    rewards_.assign(world.num_tasks(), 0.0);
+    for (std::size_t i = 0; i < world.num_tasks(); ++i) {
+      const model::Task& t = world.tasks()[i];
+      if (t.completed() || t.expired_at(k)) continue;
+      rewards_[i] = 1.0 + 0.5 * static_cast<double>(i);
+    }
+  }
+};
+
+TEST(Simulator, RowPublishedPricesPaidOnSparseAndPermutedIds) {
+  // Regression: a mechanism that filled rewards_ by row without opting in
+  // to row reads was priced by id. Sparse ids then threw (id >= task count)
+  // and permuted ids silently paid another task's price. Every accepted
+  // delivery must pay its row's published price, through both the round
+  // loop and the serial reference.
+  const std::vector<std::vector<TaskId>> id_sets = {{10, 20, 31}, {2, 0, 1}};
+  for (const std::vector<TaskId>& ids : id_sets) {
+    for (const bool legacy_commit : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ids " << ids[0] << "," << ids[1] << "," << ids[2]
+                   << " legacy_commit " << legacy_commit);
+      model::World w(geo::BoundingBox::square(1000.0), geo::TravelModel{},
+                     200.0);
+      w.tasks().emplace_back(ids[0], geo::Point{100, 0}, Round{5}, 2);
+      w.tasks().emplace_back(ids[1], geo::Point{200, 0}, Round{5}, 2);
+      w.tasks().emplace_back(ids[2], geo::Point{0, 150}, Round{5}, 2);
+      w.add_user({0, 0}, 600.0);
+      w.add_user({50, 0}, 600.0);
+      w.add_user({0, 50}, 600.0);
+      SimulatorParams sp;
+      sp.legacy_commit = legacy_commit;
+      Simulator s(std::move(w), std::make_unique<RowPricedMechanism>(),
+                  select::make_selector(select::SelectorKind::kDp), sp);
+      int deliveries = 0;
+      for (Round k = 1; k <= 2; ++k) {
+        s.step();
+        const std::vector<Money>& published = s.mechanism().rewards();
+        for (std::size_t i = 0; i < s.world().num_tasks(); ++i) {
+          for (const model::Measurement& m :
+               s.world().tasks()[i].measurements()) {
+            if (m.round != k) continue;
+            ++deliveries;
+            EXPECT_EQ(m.reward_paid, published[i])
+                << "row " << i << " round " << k;
+            EXPECT_EQ(m.reward_paid, 1.0 + 0.5 * static_cast<double>(i));
+          }
+        }
+      }
+      EXPECT_GT(deliveries, 0);
+    }
+  }
+}
+
+TEST(Simulator, MisSizedRewardTableFailsWithNamedError) {
+  // A publish that does not hold one price per task row is rejected once,
+  // right after the publish, naming the mechanism.
+  class ShortTableMechanism final : public incentive::IncentiveMechanism {
+   public:
+    const char* name() const override { return "short-table"; }
+    void update_rewards(const model::World& world, Round) override {
+      rewards_.assign(world.num_tasks() - 1, 1.0);
+    }
+  };
+  Simulator s(tiny_world(), std::make_unique<ShortTableMechanism>(),
+              select::make_selector(select::SelectorKind::kDp), {});
+  try {
+    s.step();
+    FAIL() << "a mis-sized reward table was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("short-table"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Simulator, PeekInstancesOfferOpenPricedUncontributedTasksInRowOrder) {
